@@ -7,7 +7,8 @@ total trace, and a POVM is a tuple of positive elements summing to the
 identity.  This module holds the data model plus the small set of numerical
 primitives the rounding/repair/majorant solvers are built from: validation,
 the state seminorm, the orthogonality defect, the block-normalized
-center-valued trace, and eigenvalue clustering.
+center-valued trace, and eigenvalue clustering.  ``BoundCheck`` is the one
+record every solver report uses for its certified bounds.
 """
 
 from __future__ import annotations
@@ -36,6 +37,32 @@ class PreconditionError(PovmRoundError):
 
 class SolverError(PovmRoundError):
     """An iterative solver failed to converge."""
+
+
+@dataclass
+class BoundCheck:
+    """One certified bound: measured value against its threshold."""
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "value": self.value,
+            "threshold": self.threshold,
+            "pass": bool(self.passed),
+        }
+
+
+def check_leq(name: str, value: float, threshold: float) -> BoundCheck:
+    return BoundCheck(name, float(value), float(threshold), bool(value <= threshold))
+
+
+def check_geq(name: str, value: float, threshold: float) -> BoundCheck:
+    return BoundCheck(name, float(value), float(threshold), bool(value >= threshold))
 
 
 @dataclass(frozen=True)
@@ -240,6 +267,12 @@ def hermitian_sqrt(x: AlgebraElement, lo: float = 0.0, hi: float = np.inf) -> tu
     return AlgebraElement(x.algebra, roots), clip
 
 
+def projection_range(block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a projection block."""
+    w, v = np.linalg.eigh(block)
+    return v[:, w > 0.5].copy()  # the indexed view is F-ordered; products expect C order
+
+
 class State:
     """Normal state phi(x) = sum_k Tr(rho_k x_k) given by density blocks.
 
@@ -340,6 +373,12 @@ class Povm:
             total = total + e
         return total
 
+    def sum_residual(self) -> float:
+        """Largest entry of |sum_i a_i - 1| over all blocks."""
+        return max(
+            float(np.abs(b - np.eye(d)).max()) for b, d in zip(self.sum().blocks, self.algebra.dims)
+        )
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -377,10 +416,7 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
             if w.size:
                 neg = max(neg, float(max(0.0, -w.min())))
                 excess = max(excess, float(max(0.0, w.max() - 1.0)))
-    total = a.sum()
-    sum_residual = max(
-        float(np.abs(b - np.eye(d)).max()) for b, d in zip(total.blocks, alg.dims)
-    )
+    sum_residual = a.sum_residual()
     herm = a.hermitization_residual
     ok = (
         neg <= tol.psd_tol

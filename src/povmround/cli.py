@@ -1,14 +1,16 @@
 """Command-line front end.
 
-    povmround <command> --in <file> [--out <file>] [--seed N]
-              [--tol key=val ...] [--csv <file>]
+    povmround <command> --in <file> [--out <file>] [--tol key=val ...]
+    povmround gen --kind <kind> [--seed N] [--param key=val ...] --out <file>
+    povmround sweep [--count N] [--seed N] [--csv <file>] [--out <file>]
 
 Commands: orthogonalize, orthogonalize-sym, repair, fourier, majorant,
-verify, gen, sweep.  Exit code 0 means every certified bound passed, 1 a
-bound failed (the failing certificate is named on stderr), 2 the input
-could not be parsed or validated.  POVMROUND_TOL_OVERRIDES provides
-comma-separated key=val tolerance overrides at lower precedence than
---tol flags.
+verify (majorant reports only), gen, sweep.  Exit code 0 means every
+certified bound passed, 1 a bound failed (the failing certificate is named
+on stderr), 2 the input could not be parsed or validated.
+POVMROUND_TOL_OVERRIDES provides comma-separated key=val tolerance overrides
+at lower precedence than --tol flags.  Every check comes from the solver
+report's own ``checks()``; this module only solves and formats.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import time
 
 import numpy as np
 
-from .algebra import PovmRoundError, Tolerances, ValidationError, validate_pvm
+from .algebra import PovmRoundError, ShapeMismatchError, Tolerances, ValidationError, check_geq
 from .generators import KINDS, gen_instance
 from .io import (
-    BoundCheck,
     Instance,
-    check_geq,
-    check_leq,
     decode_element,
     dumps,
     encode_element,
@@ -39,53 +38,9 @@ from .io import (
     save_instance,
     save_report,
 )
-from .majorant import (
-    MajorantResiduals,
-    MajorantSolution,
-    minimal_majorant,
-    verify_majorant_certificate,
-)
-from .orthogonalize import orthogonalize, orthogonalize_symmetry_preserving
-from .repair import pvm_to_unitary, repair, repair_unitary_pair, unitary_to_pvm
-
-# Certified-bound slacks used by the CLI checks.
-BOUND_SLACK = 1e-7           # additive slack on the 9x and 10x error bounds
-SELECTION_SLACK = 1e-9       # slack on the selection value lower bound
-COMMUTATION_TOL = 1e-6       # [q_i, a_i] residual
-IDEMPOTENCY_TOL = 1e-8       # output PVM idempotency
-OUTPUT_COMMUTATOR_TOL = 1e-9  # [p'_i, q_j] residual after repair
-IDENTITY_TOL = 1e-10         # exact commutation-defect identity
-ROUNDTRIP_TOL = 1e-10        # PVM <-> unitary round trip
-SYMMETRY_TOL = 1e-8          # [commutant basis, p_i] residual
-
-
-def _orth_checks(report, prefix="") -> list[BoundCheck]:
-    rank_defects = sum(
-        abs(sum(row) - d)
-        for row, d in zip(report.selection.ranks, report.pvm.algebra.dims)
-    )
-    diag = validate_pvm(report.pvm.algebra, report.pvm)
-    return [
-        check_leq(prefix + "error_vs_9defect", report.error, 9.0 * report.defect + BOUND_SLACK),
-        check_geq(
-            prefix + "selection_value",
-            report.selection.value,
-            1.0 - report.defect - SELECTION_SLACK,
-        ),
-        check_leq(prefix + "rank_sum_defect", rank_defects, 0.0),
-        check_leq(
-            prefix + "selection_commutation", report.selection.commutation_residual, COMMUTATION_TOL
-        ),
-        check_leq(prefix + "pvm_idempotency", report.certificates.pvm_idempotency, IDEMPOTENCY_TOL),
-        check_leq(prefix + "pvm_sum_residual", report.certificates.pvm_sum_residual, 1e-8),
-        check_leq(prefix + "midpoint_identity", report.certificates.midpoint_residual, BOUND_SLACK),
-        check_geq(
-            prefix + "converse_bound",
-            (1.0 - report.defect) - (1.0 - math.sqrt(max(report.error, 0.0))) ** 2,
-            -BOUND_SLACK,
-        ),
-        BoundCheck(prefix + "pvm_valid", 0.0 if diag.is_valid else 1.0, 0.0, diag.is_valid),
-    ]
+from .majorant import majorant_certificate, minimal_majorant
+from .orthogonalize import nine_defect_check, orthogonalize, orthogonalize_symmetry_preserving
+from .repair import pvm_to_unitary, repair, repair_unitary_pair, roundtrip_residual
 
 
 def _json_ratio(ratio):
@@ -118,7 +73,7 @@ def _cmd_orthogonalize(inst: Instance, tol: Tolerances):
     if inst.state is None or inst.povm is None:
         raise ValidationError("instance must provide a state and a POVM")
     report = orthogonalize(inst.algebra, inst.state, inst.povm, tol)
-    return _orth_result(report), _orth_checks(report)
+    return _orth_result(report), report.checks()
 
 
 def _cmd_orthogonalize_sym(inst: Instance, tol: Tolerances):
@@ -135,10 +90,7 @@ def _cmd_orthogonalize_sym(inst: Instance, tol: Tolerances):
         "pvm": [encode_element(p) for p in sym.pvm.elements],
         "inner": _orth_result(sym.inner),
     }
-    checks = _orth_checks(sym.inner, prefix="inner_")
-    checks.append(check_leq("symmetry_residual", sym.symmetry_residual, SYMMETRY_TOL))
-    checks.append(check_leq("error_vs_9defect", sym.error, 9.0 * sym.defect + BOUND_SLACK))
-    return result, checks
+    return result, sym.checks()
 
 
 def _cmd_repair(inst: Instance, tol: Tolerances):
@@ -154,15 +106,7 @@ def _cmd_repair(inst: Instance, tol: Tolerances):
         "pvm_repaired": [encode_element(e) for e in rep.pvm_repaired.elements],
         "inner": _orth_result(rep.inner),
     }
-    checks = [
-        check_leq("error_vs_10defect", rep.error, 10.0 * rep.epsilon_c + BOUND_SLACK),
-        check_leq("identity_residual", rep.identity_residual, IDENTITY_TOL),
-        check_leq("output_commutators", rep.max_commutator, OUTPUT_COMMUTATOR_TOL),
-        check_leq(
-            "inner_error_vs_9defect", rep.inner.error, 9.0 * rep.inner.defect + BOUND_SLACK
-        ),
-    ]
-    return result, checks
+    return result, rep.checks()
 
 
 def _cmd_fourier(inst: Instance, tol: Tolerances):
@@ -171,13 +115,7 @@ def _cmd_fourier(inst: Instance, tol: Tolerances):
     p, q = inst.pvm_pair
     v = pvm_to_unitary(p, tol)
     u = pvm_to_unitary(q, tol)
-    roundtrip = 0.0
-    for pvm, unit in ((p, v), (q, u)):
-        back = unitary_to_pvm(unit, pvm.n, tol)
-        roundtrip = max(
-            roundtrip,
-            max((a - b).norm_fro() for a, b in zip(pvm.elements, back.elements)),
-        )
+    roundtrip = max(roundtrip_residual(p, v, tol), roundtrip_residual(q, u, tol))
     rep = repair_unitary_pair(inst.state, u, q.n, v, p.n, tol)
     result = {
         "lhs": rep.lhs,
@@ -186,19 +124,13 @@ def _cmd_fourier(inst: Instance, tol: Tolerances):
         "roundtrip_residual": roundtrip,
         "v_repaired": encode_element(rep.v_repaired),
     }
-    checks = [
-        check_leq("roundtrip_residual", roundtrip, ROUNDTRIP_TOL),
-        check_leq("repaired_commutator", rep.commutator_norm, OUTPUT_COMMUTATOR_TOL),
-        check_leq("rhs_vs_10lhs", rep.rhs_error, 10.0 * rep.lhs + BOUND_SLACK),
-    ]
-    return result, checks
+    return result, rep.checks(roundtrip)
 
 
 def _cmd_majorant(inst: Instance, tol: Tolerances):
     if inst.functionals is None:
         raise ValidationError("instance must provide a functional family")
     sol = minimal_majorant(inst.algebra, inst.functionals, tol)
-    diag = verify_majorant_certificate(inst.algebra, inst.functionals, sol, tol)
     result = {
         "primal": sol.primal,
         "dual": sol.dual,
@@ -215,51 +147,37 @@ def _cmd_majorant(inst: Instance, tol: Tolerances):
         },
         "instance": inst.to_json(),
     }
-    checks = [BoundCheck(c.name, c.value, c.threshold, c.passed) for c in diag.checks]
-    return result, checks
-
-
-def _solution_from_report(doc: dict):
-    result = doc["result"]
-    inst = Instance.from_json(result["instance"])
-    if inst.functionals is None:
-        raise ValidationError("embedded instance has no functional family")
-    alg = inst.algebra
-    z = decode_element(alg, result["z"])
-    duals = [decode_element(alg, t) for t in result["t"]]
-    res = result.get("residuals", {})
-    sol = MajorantSolution(
-        majorant=z,
-        dual_povm=duals,
-        primal=float(result["primal"]),
-        dual=float(result["dual"]),
-        gap=float(result["gap"]),
-        mu_final=float(result["mu_final"]),
-        newton_iterations=int(result.get("newton_iterations", 0)),
-        residuals=MajorantResiduals(
-            feasibility=float(res.get("feasibility", 0.0)),
-            povm_sum=float(res.get("povm_sum", 0.0)),
-            slackness=float(res.get("slackness", 0.0)),
-            reconstruction=float(res.get("reconstruction", 0.0)),
-        ),
-    )
-    return inst, sol
+    return result, sol.checks(inst.functionals, tol)
 
 
 def _cmd_verify(path: str, tol: Tolerances):
+    """Recompute a majorant report's checks from its embedded instance, z and t."""
     doc = load_report(path)
-    if doc.get("command") not in ("majorant", "verify"):
+    if doc.get("command") != "majorant":
         raise ValidationError("verify expects a majorant report file")
-    inst, sol = _solution_from_report(doc)
-    diag = verify_majorant_certificate(inst.algebra, inst.functionals, sol, tol)
+    result = doc.get("result")
+    missing = [k for k in ("instance", "z", "t") if not isinstance(result, dict) or k not in result]
+    if missing:
+        raise ValidationError(f"majorant report has no result field(s) {missing}")
+    try:
+        inst = Instance.from_json(result["instance"])
+        z = decode_element(inst.algebra, result["z"])
+        duals = [decode_element(inst.algebra, t) for t in result["t"]]
+    except (AttributeError, KeyError, TypeError, ValueError, ShapeMismatchError) as exc:
+        raise ValidationError(f"malformed majorant report: {exc!r}") from exc
+    f = inst.functionals
+    if f is None:
+        raise ValidationError("embedded instance has no functional family")
+    if len(duals) != f.n:
+        raise ValidationError(f"report has {len(duals)} dual elements for {f.n} functionals")
+    sol = majorant_certificate(f, z, duals)
     result = {
         "primal": sol.primal,
         "dual": sol.dual,
         "gap": sol.gap,
         "verified_input": doc.get("input_digest", ""),
     }
-    checks = [BoundCheck(c.name, c.value, c.threshold, c.passed) for c in diag.checks]
-    return result, checks
+    return result, sol.checks(f, tol)
 
 
 def _sweep_config(seed: int, max_dim: int, max_outputs: int):
@@ -290,7 +208,8 @@ def _cmd_sweep(args, tol: Tolerances):
         start = time.perf_counter()
         report = orthogonalize(inst.algebra, inst.state, inst.povm, tol)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        margin = 9.0 * report.defect + BOUND_SLACK - report.error
+        bound = nine_defect_check(report)
+        margin = bound.threshold - bound.value
         rows.append({
             "seed": seed,
             "dims": "+".join(str(d) for d in dims),
@@ -323,46 +242,46 @@ def _cmd_sweep(args, tol: Tolerances):
     return result, checks
 
 
-def _parse_tol_items(items) -> dict:
-    overrides = {}
+def _parse_items(items, what: str, types: dict) -> dict:
+    """key=val strings to a dict, converting each value by ``types`` (default float)."""
+    parsed = {}
     for item in items:
         if "=" not in item:
-            raise ValidationError(f"tolerance override {item!r} is not key=val")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key == "max_iters":
-            overrides[key] = int(val)
-        else:
-            overrides[key] = float(val)
-    return overrides
+            raise ValidationError(f"{what} {item!r} is not key=val")
+        key, val = (part.strip() for part in item.split("=", 1))
+        try:
+            parsed[key] = types.get(key, float)(val)
+        except ValueError as exc:
+            raise ValidationError(f"{what} {key!r}: cannot parse {val!r}") from exc
+    return parsed
+
+
+_TOL_TYPES = {"max_iters": int}
+
+
+def _flag(val: str) -> bool:
+    return val.lower() in ("1", "true", "yes")
+
+
+_PARAM_TYPES = {
+    "dims": lambda val: [int(x) for x in val.replace("+", ",").split(",")],
+    "n": int,
+    "n_p": int,
+    "n_q": int,
+    "state_rank": int,
+    "canonical": _flag,
+    "diagonal": _flag,
+    "single_block": _flag,
+}
 
 
 def build_tolerances(tol_flags) -> Tolerances:
     overrides = {}
     env = os.environ.get("POVMROUND_TOL_OVERRIDES", "")
     if env.strip():
-        overrides.update(_parse_tol_items(env.split(",")))
-    overrides.update(_parse_tol_items(tol_flags or []))
+        overrides.update(_parse_items(env.split(","), "tolerance override", _TOL_TYPES))
+    overrides.update(_parse_items(tol_flags or [], "tolerance override", _TOL_TYPES))
     return Tolerances().replace(**overrides)
-
-
-def _parse_params(items) -> dict:
-    params = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ValidationError(f"parameter {item!r} is not key=val")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        val = val.strip()
-        if key == "dims":
-            params[key] = [int(x) for x in val.replace("+", ",").split(",")]
-        elif key in ("n", "n_p", "n_q", "state_rank"):
-            params[key] = int(val)
-        elif key in ("canonical", "diagonal", "single_block"):
-            params[key] = val.lower() in ("1", "true", "yes")
-        else:
-            params[key] = float(val)
-    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +338,7 @@ def run_command(args) -> tuple[dict, int]:
     start = time.perf_counter()
 
     if args.command == "gen":
-        params = _parse_params(args.param)
+        params = _parse_items(args.param, "parameter", _PARAM_TYPES)
         inst = gen_instance(args.kind, args.seed, params)
         save_instance(inst, args.output)
         doc = make_report(

@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
+    BoundCheck,
     Povm,
     Pvm,
     State,
@@ -139,32 +140,6 @@ def load_instance(path, tol: Tolerances = DEFAULT_TOL) -> Instance:
 
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-@dataclass
-class BoundCheck:
-    """One certified bound: measured value against its threshold."""
-
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "pass": bool(self.passed),
-        }
-
-
-def check_leq(name: str, value: float, threshold: float) -> BoundCheck:
-    return BoundCheck(name, float(value), float(threshold), bool(value <= threshold))
-
-
-def check_geq(name: str, value: float, threshold: float) -> BoundCheck:
-    return BoundCheck(name, float(value), float(threshold), bool(value >= threshold))
 
 
 def make_report(

@@ -15,18 +15,26 @@ until that certificate meets gap_tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
+    BoundCheck,
     PreconditionError,
     SolverError,
     Tolerances,
     DEFAULT_TOL,
+    check_geq,
+    check_leq,
 )
+
+# Thresholds of the certified optimality bounds, relative to FunctionalFamily.scale();
+# positivity and the duality gap use psd_tol, cert_tol and gap_tol from Tolerances.
+POVM_SUM_TOL = 1e-8          # ||sum_i t_i - 1||_F
+SLACKNESS_TOL = 1e-4         # max_i ||t_i (z - a_i)||_F and ||z - sum_i t_i a_i||_F
 
 
 @dataclass
@@ -68,6 +76,7 @@ class FunctionalFamily:
 @dataclass
 class MajorantResiduals:
     feasibility: float      # min_i lambda_min(z - a_i)
+    dual_positivity: float  # min_i lambda_min(t_i)
     povm_sum: float         # ||sum_i t_i - 1||_F
     slackness: float        # max_i ||t_i (z - a_i)||_F
     reconstruction: float   # ||z - sum_i t_i a_i||_F
@@ -84,6 +93,58 @@ class MajorantSolution:
     newton_iterations: int
     residuals: MajorantResiduals
 
+    def checks(self, f: FunctionalFamily, tol: Tolerances = DEFAULT_TOL) -> list[BoundCheck]:
+        """The certified optimality bounds of this solution for the family f."""
+        scale = f.scale()
+        res = self.residuals
+        gap_bound = tol.barrier.gap_tol * scale
+        return [
+            check_geq("feasibility", res.feasibility, -tol.psd_tol * scale),
+            check_geq("dual_positivity", res.dual_positivity, -tol.psd_tol * scale),
+            check_leq("povm_sum", res.povm_sum, POVM_SUM_TOL * scale),
+            BoundCheck(
+                "gap", self.gap, gap_bound, -tol.cert_tol * scale <= self.gap <= gap_bound
+            ),
+            check_leq("slackness", res.slackness, SLACKNESS_TOL * scale),
+            check_leq("reconstruction", res.reconstruction, SLACKNESS_TOL * scale),
+        ]
+
+
+def majorant_certificate(
+    f: FunctionalFamily, z: AlgebraElement, duals: list[AlgebraElement]
+) -> MajorantSolution:
+    """Objective values and residuals of a candidate pair (z, t), computed from
+    the pair alone, so no solver state can leak into its certificate."""
+    n = f.n
+    blocks = range(z.algebra.num_blocks)
+    primal = z.trace().real
+    dual_value = sum((f.elements[i] @ duals[i]).trace().real for i in range(n))
+    residuals = MajorantResiduals(
+        feasibility=min(
+            float(np.linalg.eigvalsh(_herm((z - e).blocks[k])).min())
+            for e in f.elements
+            for k in blocks
+        ),
+        dual_positivity=min(
+            float(np.linalg.eigvalsh(_herm(t.blocks[k])).min()) for t in duals for k in blocks
+        ),
+        povm_sum=(sum(duals[1:], duals[0]) - z.algebra.identity()).norm_fro(),
+        slackness=max((duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n)),
+        reconstruction=(
+            z - sum((duals[i] @ f.elements[i] for i in range(1, n)), duals[0] @ f.elements[0])
+        ).norm_fro(),
+    )
+    return MajorantSolution(
+        majorant=z,
+        dual_povm=duals,
+        primal=primal,
+        dual=dual_value,
+        gap=primal - dual_value,
+        mu_final=0.0,
+        newton_iterations=0,
+        residuals=residuals,
+    )
+
 
 def _herm(m):
     return (m + m.conj().T) / 2
@@ -93,15 +154,6 @@ def _chol_logdet(m):
     """Cholesky log-determinant; raises LinAlgError when not PD."""
     c = np.linalg.cholesky(_herm(m))
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(c)))))
-
-
-def _barrier_value(z_blocks, fam_blocks, mu):
-    val = 0.0
-    for k, z in enumerate(z_blocks):
-        val += float(np.trace(z).real)
-        for a in fam_blocks[k]:
-            val -= mu * _chol_logdet(z - a)
-    return val
 
 
 def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
@@ -191,50 +243,14 @@ def minimal_majorant(
         raw_duals.append(AlgebraElement(alg, [_herm(b) for b in blocks]))
 
     # Restore exact dual feasibility: spread the stationarity residual evenly.
-    ident = alg.identity()
-    residual = ident - sum(raw_duals[1:], raw_duals[0])
+    residual = alg.identity() - sum(raw_duals[1:], raw_duals[0])
     duals = [t + (1.0 / n) * residual for t in raw_duals]
-
-    primal = z.trace().real
-    dual_value = sum(
-        (f.elements[i] @ duals[i]).trace().real for i in range(n)
-    )
-    gap = primal - dual_value
-
-    feas = min(
-        float(np.linalg.eigvalsh(_herm(z.blocks[k] - fam_blocks[k][i])).min())
-        for i in range(n)
-        for k in range(alg.num_blocks)
-    )
-    povm_sum = (sum(duals[1:], duals[0]) - ident).norm_fro()
-    slack = max(
-        (duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n)
-    )
-    recon = (z - sum((duals[i] @ f.elements[i] for i in range(1, n)), duals[0] @ f.elements[0])).norm_fro()
-
-    return MajorantSolution(
-        majorant=z,
-        dual_povm=duals,
-        primal=primal,
-        dual=dual_value,
-        gap=gap,
-        mu_final=mu,
-        newton_iterations=total_iters,
-        residuals=MajorantResiduals(feas, povm_sum, slack, recon),
-    )
-
-
-@dataclass
-class CertificateCheck:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
+    return replace(majorant_certificate(f, z, duals), mu_final=mu, newton_iterations=total_iters)
 
 
 @dataclass
 class CertificateDiagnostics:
-    checks: list[CertificateCheck]
+    checks: list[BoundCheck]
 
     @property
     def all_passed(self) -> bool:
@@ -250,48 +266,10 @@ def verify_majorant_certificate(
     sol: MajorantSolution,
     tol: Tolerances = DEFAULT_TOL,
 ) -> CertificateDiagnostics:
-    """Recompute every optimality certificate of a solution from scratch."""
+    """Recompute every optimality certificate of a solution from its z and t alone."""
     if sol.majorant.algebra.dims != alg.dims:
         raise PreconditionError("solution does not match the algebra")
-    n = f.n
-    scale = f.scale()
-    z = sol.majorant
-    duals = sol.dual_povm
-
-    feas = min(
-        float(np.linalg.eigvalsh(_herm((z - e).blocks[k])).min())
-        for e in f.elements
-        for k in range(alg.num_blocks)
-    )
-    dual_min = min(
-        float(np.linalg.eigvalsh(_herm(t.blocks[k])).min())
-        for t in duals
-        for k in range(alg.num_blocks)
-    )
-    ident = alg.identity()
-    povm_sum = (sum(duals[1:], duals[0]) - ident).norm_fro()
-    primal = z.trace().real
-    dual_value = sum((f.elements[i] @ duals[i]).trace().real for i in range(n))
-    gap = primal - dual_value
-    slack = max((duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n))
-    recon = (
-        z - sum((duals[i] @ f.elements[i] for i in range(1, n)), duals[0] @ f.elements[0])
-    ).norm_fro()
-
-    checks = [
-        CertificateCheck("feasibility", feas, -tol.psd_tol * scale, feas >= -tol.psd_tol * scale),
-        CertificateCheck("dual_positivity", dual_min, -tol.psd_tol * scale, dual_min >= -tol.psd_tol * scale),
-        CertificateCheck("povm_sum", povm_sum, 1e-8 * scale, povm_sum <= 1e-8 * scale),
-        CertificateCheck(
-            "gap",
-            gap,
-            tol.barrier.gap_tol * scale,
-            -tol.cert_tol * scale <= gap <= tol.barrier.gap_tol * scale,
-        ),
-        CertificateCheck("slackness", slack, 1e-4 * scale, slack <= 1e-4 * scale),
-        CertificateCheck("reconstruction", recon, 1e-4 * scale, recon <= 1e-4 * scale),
-    ]
-    return CertificateDiagnostics(checks)
+    return CertificateDiagnostics(majorant_certificate(f, sol.majorant, sol.dual_povm).checks(f, tol))
 
 
 def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> MajorantSolution:
@@ -319,28 +297,4 @@ def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> Majoran
             t_blocks[i].append(np.diag((winner == i).astype(complex)))
 
     z = AlgebraElement(alg, z_blocks)
-    duals = [AlgebraElement(alg, blocks) for blocks in t_blocks]
-    primal = z.trace().real
-    dual_value = sum((f.elements[i] @ duals[i]).trace().real for i in range(n))
-    ident = alg.identity()
-    return MajorantSolution(
-        majorant=z,
-        dual_povm=duals,
-        primal=primal,
-        dual=dual_value,
-        gap=primal - dual_value,
-        mu_final=0.0,
-        newton_iterations=0,
-        residuals=MajorantResiduals(
-            feasibility=min(
-                float(np.linalg.eigvalsh(_herm((z - e).blocks[k])).min())
-                for e in f.elements
-                for k in range(alg.num_blocks)
-            ),
-            povm_sum=(sum(duals[1:], duals[0]) - ident).norm_fro(),
-            slackness=max((duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n)),
-            reconstruction=(
-                z - sum((duals[i] @ f.elements[i] for i in range(1, n)), duals[0] @ f.elements[0])
-            ).norm_fro(),
-        ),
-    )
+    return majorant_certificate(f, z, [AlgebraElement(alg, blocks) for blocks in t_blocks])

@@ -34,6 +34,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
+    BoundCheck,
     Povm,
     PreconditionError,
     Pvm,
@@ -42,15 +43,30 @@ from .algebra import (
     Tolerances,
     DEFAULT_TOL,
     ValidationError,
+    check_geq,
+    check_leq,
     defect,
     effective_cluster_tol,
     hermitian_sqrt,
     phi_norm_sq,
+    projection_range,
     spectral_clusters,
     validate_povm,
+    validate_pvm,
 )
 
 _GENERIC_SEED = 0x5EED
+# Fresh generic draws tried before the block decomposition gives up; every
+# decomposition in the tests and the benchmark succeeds on the first draw.
+DECOMPOSE_ATTEMPTS = 8
+
+# Thresholds of the certified rounding bounds (repair reuses BOUND_SLACK).
+BOUND_SLACK = 1e-7           # additive slack on the 9x and 10x error bounds
+SELECTION_SLACK = 1e-9       # slack on the selection value lower bound
+COMMUTATION_TOL = 1e-6       # [q_i, a_i] residual
+IDEMPOTENCY_TOL = 1e-8       # output PVM idempotency
+SUM_TOL = 1e-8               # output PVM sum-to-identity residual
+SYMMETRY_TOL = 1e-8          # [commutant basis, p_i] residual
 
 
 @dataclass
@@ -85,6 +101,40 @@ class OrthReport:
     ratio: float                  # error / defect, inf-safe
     selection: SelectionResult
     certificates: OrthCertificates
+
+    def checks(self, prefix: str = "") -> list[BoundCheck]:
+        """The certified bounds of this rounding, names prefixed by ``prefix``."""
+        rank_defects = sum(
+            abs(sum(row) - d) for row, d in zip(self.selection.ranks, self.pvm.algebra.dims)
+        )
+        valid = validate_pvm(self.pvm.algebra, self.pvm).is_valid
+        certs = self.certificates
+        return [
+            nine_defect_check(self, prefix + "error_vs_9defect"),
+            check_geq(
+                prefix + "selection_value",
+                self.selection.value,
+                1.0 - self.defect - SELECTION_SLACK,
+            ),
+            check_leq(prefix + "rank_sum_defect", rank_defects, 0.0),
+            check_leq(
+                prefix + "selection_commutation", self.selection.commutation_residual, COMMUTATION_TOL
+            ),
+            check_leq(prefix + "pvm_idempotency", certs.pvm_idempotency, IDEMPOTENCY_TOL),
+            check_leq(prefix + "pvm_sum_residual", certs.pvm_sum_residual, SUM_TOL),
+            check_leq(prefix + "midpoint_identity", certs.midpoint_residual, BOUND_SLACK),
+            check_geq(
+                prefix + "converse_bound",
+                (1.0 - self.defect) - (1.0 - math.sqrt(max(self.error, 0.0))) ** 2,
+                -BOUND_SLACK,
+            ),
+            BoundCheck(prefix + "pvm_valid", 0.0 if valid else 1.0, 0.0, valid),
+        ]
+
+
+def nine_defect_check(report, name: str = "error_vs_9defect") -> BoundCheck:
+    """The main bound of a rounding report: error <= 9 * defect."""
+    return check_leq(name, report.error, 9.0 * report.defect + BOUND_SLACK)
 
 
 def _safe_ratio(error: float, eps0: float) -> float:
@@ -216,13 +266,12 @@ def complete_polar(
         range_cols = []
         rank_sum = 0
         for i, q in enumerate(targets):
-            w, v = np.linalg.eigh(q.blocks[k])
-            keep = w > 0.5
-            r = int(keep.sum())
+            basis = projection_range(q.blocks[k])
+            r = basis.shape[1]
             rank_sum += r
             if r:
                 emb = np.zeros((n * d, r), dtype=complex)
-                emb[i * d : (i + 1) * d, :] = v[:, keep]
+                emb[i * d : (i + 1) * d, :] = basis
                 range_cols.append(emb)
         if rank_sum != d:
             raise PreconditionError(
@@ -324,15 +373,11 @@ def orthogonalize(
         phi.expect(q @ (e - e @ e)).real for q, e in zip(sel.projections, a.elements)
     )
 
-    total = pvm.sum()
-    sum_residual = max(
-        float(np.abs(b - np.eye(d)).max()) for b, d in zip(total.blocks, alg.dims)
-    )
     idem = max((p @ p - p).norm_fro() for p in pvm.elements)
 
     certs = OrthCertificates(
         pvm_idempotency=idem,
-        pvm_sum_residual=sum_residual,
+        pvm_sum_residual=pvm.sum_residual(),
         midpoint_residual=midpoint,
         polar_residual=polar_residual,
         sqrt_clip=clip,
@@ -451,7 +496,8 @@ def decompose_generated_algebra(
     operators; the eigenspaces of a seeded generic Hermitian commutant
     element split the space, equivalent pieces are detected and aligned by
     their (unique) intertwiners, and the result is verified against the
-    conjugated family.  Degenerate draws are retried with fresh seeds.
+    conjugated family.  Degenerate draws are retried with fresh seeds, at most
+    ``DECOMPOSE_ATTEMPTS`` times.
     """
     if not elements:
         raise PreconditionError("need at least one generating element")
@@ -467,7 +513,7 @@ def decompose_generated_algebra(
 
     scale = max(1.0, max(h.spectral_radius() for h in herm))
     last_residual = math.inf
-    for attempt in range(tol.barrier.max_iters):
+    for attempt in range(DECOMPOSE_ATTEMPTS):
         rng = np.random.default_rng(_GENERIC_SEED + attempt)
         try:
             result = _decompose_once(alg, herm, rng, tol, scale)
@@ -597,6 +643,13 @@ class SymmetricOrthReport:
     inner: OrthReport              # rounding inside the generated algebra
     decomposition: GeneratedAlgebra
     symmetry_residual: float       # max over commutant basis b of ||[b, p_i]||_F
+
+    def checks(self) -> list[BoundCheck]:
+        """The inner rounding's bounds, symmetry preservation, and the ambient 9x bound."""
+        return self.inner.checks(prefix="inner_") + [
+            check_leq("symmetry_residual", self.symmetry_residual, SYMMETRY_TOL),
+            nine_defect_check(self),
+        ]
 
 
 def orthogonalize_symmetry_preserving(

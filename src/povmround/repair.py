@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
+    BoundCheck,
     Povm,
     PreconditionError,
     Pvm,
@@ -32,11 +33,23 @@ from .algebra import (
     Tolerances,
     DEFAULT_TOL,
     ValidationError,
+    check_leq,
     commutator_phi_norm_sq,
     phi_norm_sq,
+    projection_range,
     validate_pvm,
 )
-from .orthogonalize import OrthReport, orthogonalize
+from .orthogonalize import BOUND_SLACK, OrthReport, nine_defect_check, orthogonalize
+
+# Thresholds of the certified repair bounds.
+IDENTITY_TOL = 1e-10          # exact commutation-defect identity
+OUTPUT_COMMUTATOR_TOL = 1e-9  # [p'_i, q_j] residual after repair
+ROUNDTRIP_TOL = 1e-10         # PVM -> unitary -> PVM round trip
+
+
+def _ten_defect_check(name: str, error: float, eps_c: float) -> BoundCheck:
+    """The repair bound: error <= 10 * commutation defect."""
+    return check_leq(name, error, 10.0 * eps_c + BOUND_SLACK)
 
 
 @dataclass
@@ -95,16 +108,15 @@ def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> CommutantAlgebra:
     for k, d in enumerate(alg.dims):
         total_rank = 0
         for j, e in enumerate(q.elements):
-            w, v = np.linalg.eigh(e.blocks[k])
-            keep = w > 0.5
-            r = int(keep.sum())
+            basis = projection_range(e.blocks[k])
+            r = basis.shape[1]
             if r == 0:
                 continue
             total_rank += r
             dims.append(r)
             ambient_block.append(k)
             output_index.append(j)
-            bases.append(v[:, keep].copy())
+            bases.append(basis)
         if total_rank != d:
             raise PreconditionError(
                 f"ranks of the reference projections sum to {total_rank} in block {k}, expected {d}"
@@ -177,6 +189,16 @@ class RepairReport:
     identity_residual: float
     max_commutator: float        # max_ij ||[p'_i, q_j]||_F
 
+    def checks(self) -> list[BoundCheck]:
+        """The 10x repair bound, the pinching identity, exact commutation,
+        and the 9x bound of the inner rounding."""
+        return [
+            _ten_defect_check("error_vs_10defect", self.error, self.epsilon_c),
+            check_leq("identity_residual", self.identity_residual, IDENTITY_TOL),
+            check_leq("output_commutators", self.max_commutator, OUTPUT_COMMUTATOR_TOL),
+            nine_defect_check(self.inner, "inner_error_vs_9defect"),
+        ]
+
 
 def repair(phi: State, p: Pvm, q: Pvm, tol: Tolerances = DEFAULT_TOL) -> RepairReport:
     """Produce a PVM commuting with q within 10 * eps_c of p."""
@@ -237,6 +259,12 @@ def unitary_to_pvm(u: AlgebraElement, n: int, tol: Tolerances = DEFAULT_TOL) -> 
     return Pvm(alg, elements)
 
 
+def roundtrip_residual(p: Pvm, u: AlgebraElement, tol: Tolerances = DEFAULT_TOL) -> float:
+    """max_i ||p_i - p'_i||_F for the spectral PVM p' of the unitary u of p."""
+    back = unitary_to_pvm(u, p.n, tol)
+    return max((a - b).norm_fro() for a, b in zip(p.elements, back.elements))
+
+
 @dataclass
 class UnitaryRepairReport:
     v_repaired: AlgebraElement
@@ -244,6 +272,15 @@ class UnitaryRepairReport:
     rhs_error: float             # (1/m) sum_j ||v^j - v'^j||_phi^2
     commutator_norm: float       # ||[v', u]||_F
     pvm_report: RepairReport
+
+    def checks(self, roundtrip: float) -> list[BoundCheck]:
+        """Bounds of the unitary repair; ``roundtrip`` is the largest
+        ``roundtrip_residual`` of the input PVMs."""
+        return [
+            check_leq("roundtrip_residual", roundtrip, ROUNDTRIP_TOL),
+            check_leq("repaired_commutator", self.commutator_norm, OUTPUT_COMMUTATOR_TOL),
+            _ten_defect_check("rhs_vs_10lhs", self.rhs_error, self.lhs),
+        ]
 
 
 def repair_unitary_pair(

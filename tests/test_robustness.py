@@ -1,0 +1,86 @@
+"""Malformed CLI input exits 2, and the block decomposition has its own retry budget."""
+
+import importlib
+import json
+
+import pytest
+
+from povmround import BlockAlgebra, SolverError, Tolerances, decompose_generated_algebra
+from povmround.cli import main
+from povmround.io import dumps
+
+orthogonalize_module = importlib.import_module("povmround.orthogonalize")
+
+
+@pytest.fixture
+def majorant_report(tmp_path):
+    inst_path = tmp_path / "fun.json"
+    report_path = tmp_path / "maj.json"
+    assert main([
+        "gen", "--kind", "random_functionals", "--seed", "4",
+        "--param", "dims=2", "--param", "n=2", "--out", str(inst_path),
+    ]) == 0
+    assert main(["majorant", "--in", str(inst_path), "--out", str(report_path)]) == 0
+    return report_path
+
+
+def _verify_edited(tmp_path, report_path, edit):
+    doc = json.loads(report_path.read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(dumps(doc))
+    return main(["verify", "--in", str(path)])
+
+
+class TestMalformedValues:
+    def test_tolerance_value_not_a_number(self, majorant_report, capsys):
+        inst_path = majorant_report.with_name("fun.json")
+        assert main(["majorant", "--in", str(inst_path), "--tol", "gap_tol=abc"]) == 2
+        assert "gap_tol" in capsys.readouterr().err
+
+    def test_gen_param_not_an_integer(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main([
+            "gen", "--kind", "random_functionals", "--param", "n=x", "--out", str(out),
+        ]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestVerifyRejects:
+    def test_verify_report_is_not_verifiable(self, majorant_report, tmp_path):
+        verify_path = tmp_path / "ver.json"
+        assert main(["verify", "--in", str(majorant_report), "--out", str(verify_path)]) == 0
+        assert main(["verify", "--in", str(verify_path)]) == 2
+
+    @pytest.mark.parametrize("field", ["instance", "z", "t"])
+    def test_missing_field(self, majorant_report, tmp_path, capsys, field):
+        assert _verify_edited(tmp_path, majorant_report, lambda d: d["result"].pop(field)) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("instance", 5),
+        ("instance", {"format": "povmround/instance", "version": 1}),
+        ("z", "not a matrix"),
+        ("z", [[[[1.0, 0.0]]]]),
+        ("t", [[[[[1.0, 0.0]]]]]),
+    ])
+    def test_malformed_field(self, majorant_report, tmp_path, field, value):
+        def edit(doc):
+            doc["result"][field] = value
+        assert _verify_edited(tmp_path, majorant_report, edit) == 2
+
+
+@pytest.mark.parametrize("max_iters", [1, 500])
+def test_decomposition_attempts_ignore_barrier_max_iters(monkeypatch, max_iters):
+    attempts = []
+
+    def always_fails(*args):
+        attempts.append(args)
+        raise SolverError("forced failure")
+
+    monkeypatch.setattr(orthogonalize_module, "_decompose_once", always_fails)
+    alg = BlockAlgebra((2,))
+    with pytest.raises(SolverError):
+        decompose_generated_algebra([alg.identity()], Tolerances().replace(max_iters=max_iters))
+    assert len(attempts) == orthogonalize_module.DECOMPOSE_ATTEMPTS
