@@ -24,6 +24,7 @@ from .algebra import (
     SolverError,
     SpectralClusters,
     State,
+    SubAlgebra,
     Tolerances,
     ValidationError,
     center_valued_trace,
@@ -54,7 +55,6 @@ from .orthogonalize import (
     select_projections,
 )
 from .repair import (
-    CommutantAlgebra,
     CompressedPovm,
     RepairReport,
     UnitaryRepairReport,
@@ -74,7 +74,6 @@ __all__ = [
     "BlockAlgebra",
     "CenterValue",
     "Cluster",
-    "CommutantAlgebra",
     "CompressedPovm",
     "FunctionalFamily",
     "GeneratedAlgebra",
@@ -90,6 +89,7 @@ __all__ = [
     "SolverError",
     "SpectralClusters",
     "State",
+    "SubAlgebra",
     "SymmetricOrthReport",
     "Tolerances",
     "UnitaryRepairReport",

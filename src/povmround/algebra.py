@@ -8,7 +8,9 @@ identity.  This module holds the data model plus the small set of numerical
 primitives the rounding/repair/majorant solvers are built from: validation,
 the state seminorm, the orthogonality defect, the block-normalized
 center-valued trace, and eigenvalue clustering.  ``BoundCheck`` is the one
-record every solver report uses for its certified bounds.
+record every solver report uses for its certified bounds, and
+``SubAlgebra`` the one sub-algebra type (repair's commutant, symmetry
+mode's generated algebra).
 """
 
 from __future__ import annotations
@@ -538,3 +540,62 @@ def spectral_clusters(h: AlgebraElement, cluster_tol: float, cert_tol: float = 1
 def effective_cluster_tol(h: AlgebraElement, tol: Tolerances) -> float:
     """Scale-aware clustering threshold: cluster_tol times max(1, spectral radius)."""
     return tol.cluster_tol * max(1.0, h.spectral_radius())
+
+
+@dataclass
+class SubAlgebra:
+    """A block algebra carried inside an ambient one by a unitary basis per ambient block.
+
+    Sub-block s uses the d_s * m_s columns of ``basis[ambient_block[s]]`` from
+    ``offsets[s]`` on, where y reads y tensor 1_m (column alpha * m + u is copy
+    u of vector alpha).  ``compress`` and ``compress_state`` share one partial
+    trace over the multiplicity; ``embed`` maps back.
+    """
+
+    ambient: BlockAlgebra
+    sub: BlockAlgebra
+    multiplicities: tuple[int, ...]
+    ambient_block: tuple[int, ...]
+    offsets: tuple[int, ...]
+    basis: list[np.ndarray]
+
+    @property
+    def algebra(self) -> BlockAlgebra:
+        """Read-only alias of ``sub``; perfbench's tracer reads
+        ``compress_povm(...).commutant.algebra.num_blocks``."""
+        return self.sub
+
+    def _columns(self, s: int) -> tuple[int, np.ndarray, int, int]:
+        k, d, m = self.ambient_block[s], self.sub.dims[s], self.multiplicities[s]
+        return k, self.basis[k][:, self.offsets[s] : self.offsets[s] + d * m], d, m
+
+    def _partial_traces(self, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per sub-block, w^H x_k w summed over the multiplicity index."""
+        out = []
+        for s in range(self.sub.num_blocks):
+            k, w, d, m = self._columns(s)
+            conj = w.conj().T @ mats[k] @ w
+            acc = np.zeros((d, d), dtype=complex)
+            for u in range(m):
+                acc += conj[u::m, u::m]
+            out.append(acc)
+        return out
+
+    def compress(self, x: AlgebraElement) -> AlgebraElement:
+        """Conditional expectation onto the sub-algebra, in sub coordinates."""
+        traces = self._partial_traces(x.blocks)
+        return AlgebraElement(self.sub, [t / m for t, m in zip(traces, self.multiplicities)])
+
+    def compress_state(self, phi: State) -> State:
+        """Restriction of the state: partial trace over the multiplicity."""
+        return State(self.sub, self._partial_traces(phi.densities))
+
+    def embed(self, y: AlgebraElement) -> AlgebraElement:
+        """Map sub-algebra elements back into the ambient algebra."""
+        mats = [np.zeros((d, d), dtype=complex) for d in self.ambient.dims]
+        for s, block in enumerate(y.blocks):
+            k, w, _, m = self._columns(s)
+            if m > 1:  # at m = 1 kron(y, 1) is y, and np.kron is slow on small blocks
+                block = np.kron(block, np.eye(m))
+            mats[k] += w @ block @ w.conj().T
+        return AlgebraElement(self.ambient, mats)

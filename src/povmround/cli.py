@@ -7,7 +7,7 @@
 Commands: orthogonalize, orthogonalize-sym, repair, fourier, majorant,
 verify (majorant reports only), gen, sweep.  Exit code 0 means every
 certified bound passed, 1 a bound failed (the failing certificate is named
-on stderr), 2 the input could not be parsed or validated.
+on stderr), 2 the input could not be read, parsed or validated.
 POVMROUND_TOL_OVERRIDES provides comma-separated key=val tolerance overrides
 at lower precedence than --tol flags.  Every check comes from the solver
 report's own ``checks()``; this module only solves and formats.
@@ -24,11 +24,12 @@ import time
 
 import numpy as np
 
-from .algebra import PovmRoundError, ShapeMismatchError, Tolerances, ValidationError, check_geq
+from .algebra import PovmRoundError, Tolerances, ValidationError, check_geq
 from .generators import KINDS, gen_instance
 from .io import (
     Instance,
     decode_element,
+    decode_elements,
     dumps,
     encode_element,
     file_digest,
@@ -132,39 +133,29 @@ def _cmd_majorant(inst: Instance, tol: Tolerances):
         raise ValidationError("instance must provide a functional family")
     sol = minimal_majorant(inst.algebra, inst.functionals, tol)
     result = {
-        "primal": sol.primal,
-        "dual": sol.dual,
-        "gap": sol.gap,
+        **sol.claims(),
         "mu_final": sol.mu_final,
         "newton_iterations": sol.newton_iterations,
         "z": encode_element(sol.majorant),
         "t": [encode_element(t) for t in sol.dual_povm],
-        "residuals": {
-            "feasibility": sol.residuals.feasibility,
-            "povm_sum": sol.residuals.povm_sum,
-            "slackness": sol.residuals.slackness,
-            "reconstruction": sol.residuals.reconstruction,
-        },
         "instance": inst.to_json(),
     }
     return result, sol.checks(inst.functionals, tol)
 
 
 def _cmd_verify(path: str, tol: Tolerances):
-    """Recompute a majorant report's checks from its embedded instance, z and t."""
+    """Recompute a majorant report's checks from its embedded instance, z and t,
+    and check the objective values and residuals the report states."""
     doc = load_report(path)
     if doc.get("command") != "majorant":
         raise ValidationError("verify expects a majorant report file")
-    result = doc.get("result")
-    missing = [k for k in ("instance", "z", "t") if not isinstance(result, dict) or k not in result]
+    stored = doc.get("result")
+    missing = [k for k in ("instance", "z", "t") if not isinstance(stored, dict) or k not in stored]
     if missing:
         raise ValidationError(f"majorant report has no result field(s) {missing}")
-    try:
-        inst = Instance.from_json(result["instance"])
-        z = decode_element(inst.algebra, result["z"])
-        duals = [decode_element(inst.algebra, t) for t in result["t"]]
-    except (AttributeError, KeyError, TypeError, ValueError, ShapeMismatchError) as exc:
-        raise ValidationError(f"malformed majorant report: {exc!r}") from exc
+    inst = Instance.from_json(stored["instance"])
+    z = decode_element(inst.algebra, stored["z"])
+    duals = decode_elements(inst.algebra, stored["t"])
     f = inst.functionals
     if f is None:
         raise ValidationError("embedded instance has no functional family")
@@ -177,7 +168,7 @@ def _cmd_verify(path: str, tol: Tolerances):
         "gap": sol.gap,
         "verified_input": doc.get("input_digest", ""),
     }
-    return result, sol.checks(f, tol)
+    return result, sol.checks(f, tol) + sol.claim_checks(stored, f, tol)
 
 
 def _sweep_config(seed: int, max_dim: int, max_outputs: int):

@@ -3,13 +3,16 @@
 Complex matrices are stored as nested row-major arrays of [re, im] pairs.
 Floats are emitted in Python's shortest round-trip decimal form, so
 load(save(x)) reproduces every matrix entry bit for bit.  Loaded objects are
-run through their validators before use.
+run through their validators before use.  An unreadable path or a malformed
+document (not an object, a missing key, a matrix not of [re, im] rows) is a
+``ValidationError``, raised here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from .algebra import (
     BoundCheck,
     Povm,
     Pvm,
+    ShapeMismatchError,
     State,
     Tolerances,
     DEFAULT_TOL,
@@ -51,8 +55,24 @@ def encode_element(x: AlgebraElement) -> list:
     return [_encode_matrix(b) for b in x.blocks]
 
 
+@contextmanager
+def _decoding(what: str):
+    """Report the errors of decoding a malformed document as ValidationError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            ShapeMismatchError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
 def decode_element(alg: BlockAlgebra, data) -> AlgebraElement:
-    return AlgebraElement(alg, [_decode_matrix(b) for b in data])
+    with _decoding("element"):
+        return AlgebraElement(alg, [_decode_matrix(b) for b in data])
+
+
+def decode_elements(alg: BlockAlgebra, data) -> list[AlgebraElement]:
+    with _decoding("element list"):
+        return [decode_element(alg, e) for e in data]
 
 
 @dataclass
@@ -89,35 +109,36 @@ class Instance:
 
     @classmethod
     def from_json(cls, doc: dict, tol: Tolerances = DEFAULT_TOL) -> "Instance":
-        if doc.get("format") != INSTANCE_FORMAT:
-            raise ValidationError(f"not an instance file (format={doc.get('format')!r})")
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValidationError(f"unsupported instance version {doc.get('version')!r}")
-        alg = BlockAlgebra(tuple(doc["dims"]))
-        inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
-        if "state" in doc:
-            inst.state = State(alg, [_decode_matrix(r) for r in doc["state"]])
-            diag = validate_state(alg, inst.state, tol)
-            if not diag.is_valid:
-                raise ValidationError(f"state in file fails validation: {diag}")
-        if "povm" in doc:
-            inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
-            diag = validate_povm(alg, inst.povm, tol)
-            if not diag.is_valid:
-                raise ValidationError(f"POVM in file fails validation: {diag}")
-        if "pvm_pair" in doc:
-            p = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["p"]])
-            q = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["q"]])
-            for name, pvm in (("p", p), ("q", q)):
-                diag = validate_pvm(alg, pvm, tol)
+        with _decoding("instance"):
+            if doc.get("format") != INSTANCE_FORMAT:
+                raise ValidationError(f"not an instance file (format={doc.get('format')!r})")
+            if doc.get("version") != FORMAT_VERSION:
+                raise ValidationError(f"unsupported instance version {doc.get('version')!r}")
+            alg = BlockAlgebra(tuple(doc["dims"]))
+            inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
+            if "state" in doc:
+                inst.state = State(alg, [_decode_matrix(r) for r in doc["state"]])
+                diag = validate_state(alg, inst.state, tol)
                 if not diag.is_valid:
-                    raise ValidationError(f"PVM {name!r} in file fails validation: {diag}")
-            inst.pvm_pair = (p, q)
-        if "functionals" in doc:
-            fam = FunctionalFamily([decode_element(alg, e) for e in doc["functionals"]])
-            fam.validate(tol)
-            inst.functionals = fam
-        return inst
+                    raise ValidationError(f"state in file fails validation: {diag}")
+            if "povm" in doc:
+                inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
+                diag = validate_povm(alg, inst.povm, tol)
+                if not diag.is_valid:
+                    raise ValidationError(f"POVM in file fails validation: {diag}")
+            if "pvm_pair" in doc:
+                p = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["p"]])
+                q = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["q"]])
+                for name, pvm in (("p", p), ("q", q)):
+                    diag = validate_pvm(alg, pvm, tol)
+                    if not diag.is_valid:
+                        raise ValidationError(f"PVM {name!r} in file fails validation: {diag}")
+                inst.pvm_pair = (p, q)
+            if "functionals" in doc:
+                fam = FunctionalFamily([decode_element(alg, e) for e in doc["functionals"]])
+                fam.validate(tol)
+                inst.functionals = fam
+            return inst
 
 
 def dumps(doc: dict) -> str:
@@ -130,12 +151,15 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(dumps(inst.to_json()))
 
 
-def load_instance(path, tol: Tolerances = DEFAULT_TOL) -> Instance:
+def _read_json(path):
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from exc
-    return Instance.from_json(doc, tol)
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable path, bad UTF-8 or bad JSON
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def load_instance(path, tol: Tolerances = DEFAULT_TOL) -> Instance:
+    return Instance.from_json(_read_json(path), tol)
 
 
 def file_digest(path) -> str:
@@ -170,10 +194,8 @@ def save_report(doc: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse {path}: {exc}") from exc
-    if doc.get("format") != REPORT_FORMAT:
-        raise ValidationError(f"not a report file (format={doc.get('format')!r})")
+    doc = _read_json(path)
+    with _decoding("report"):
+        if doc.get("format") != REPORT_FORMAT:
+            raise ValidationError(f"not a report file (format={doc.get('format')!r})")
     return doc

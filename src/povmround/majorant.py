@@ -27,6 +27,7 @@ from .algebra import (
     SolverError,
     Tolerances,
     DEFAULT_TOL,
+    ValidationError,
     check_geq,
     check_leq,
 )
@@ -108,6 +109,42 @@ class MajorantSolution:
             check_leq("slackness", res.slackness, SLACKNESS_TOL * scale),
             check_leq("reconstruction", res.reconstruction, SLACKNESS_TOL * scale),
         ]
+
+    def claims(self) -> dict:
+        """The objective values and residuals a report states, in its layout."""
+        res = self.residuals
+        return {
+            "primal": self.primal,
+            "dual": self.dual,
+            "gap": self.gap,
+            "residuals": {
+                "feasibility": res.feasibility,
+                "povm_sum": res.povm_sum,
+                "slackness": res.slackness,
+                "reconstruction": res.reconstruction,
+            },
+        }
+
+    def claim_checks(
+        self, stored: dict, f: FunctionalFamily, tol: Tolerances = DEFAULT_TOL
+    ) -> list[BoundCheck]:
+        """Each value of ``claims()`` as ``stored`` (a report's result) states it,
+        against this solution's own: |stored - value| <= cert_tol * f.scale().
+        A stored claim that is missing or not a number is a ValidationError."""
+        own = self.claims()
+        res = stored.get("residuals") if isinstance(stored.get("residuals"), dict) else {}
+        pairs = [(key, own[key], stored.get(key)) for key in ("primal", "dual", "gap")]
+        pairs += [(key, value, res.get(key)) for key, value in own["residuals"].items()]
+        checks = []
+        for key, value, claim in pairs:
+            try:
+                if isinstance(claim, bool) or not isinstance(claim, (int, float)):
+                    raise TypeError(claim)
+                claim = float(claim)  # a JSON integer too large for a float overflows here
+            except (TypeError, OverflowError):
+                raise ValidationError(f"report claim {key!r} is missing or not a number") from None
+            checks.append(check_leq(f"stored_{key}", abs(claim - value), tol.cert_tol * f.scale()))
+        return checks
 
 
 def majorant_certificate(

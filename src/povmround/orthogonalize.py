@@ -40,6 +40,7 @@ from .algebra import (
     Pvm,
     SolverError,
     State,
+    SubAlgebra,
     Tolerances,
     DEFAULT_TOL,
     ValidationError,
@@ -344,16 +345,10 @@ def orthogonalize(
     error = sum(phi_norm_sq(phi, e - p) for e, p in zip(a.elements, pvm.elements))
 
     # Certificates of the construction identities and of the three bound terms.
-    modulus_blocks = []
-    polar_residual = 0.0
-    for k in range(alg.num_blocks):
-        x = columns[k]
-        gram = x.conj().T @ x
-        w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
-        mod = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        modulus_blocks.append(mod)
-        polar_residual = max(polar_residual, float(np.linalg.norm(x - u[k] @ mod)))
-    modulus = AlgebraElement(alg, modulus_blocks)
+    modulus, _ = hermitian_sqrt(AlgebraElement(alg, [x.conj().T @ x for x in columns]))
+    polar_residual = max(
+        float(np.linalg.norm(x - uk @ mod)) for x, uk, mod in zip(columns, u, modulus.blocks)
+    )
 
     midpoint = 0.0
     for i in range(a.n):
@@ -389,77 +384,26 @@ def orthogonalize(
 
 
 @dataclass
-class GeneratedAlgebra:
-    """Unitary identification of the algebra generated by a Hermitian family.
+class GeneratedAlgebra(SubAlgebra):
+    """The algebra generated by a Hermitian family, as a sub-algebra whose
+    basis conjugates every generator into direct-sum form
+    basis^H a basis = sum over sub-blocks of (compressed block) tensor 1_m."""
 
-    Per ambient block, ``basis[k]`` conjugates every generator into
-    direct-sum form: basis^H a basis = sum over sub-blocks of
-    (compressed block) tensor 1_multiplicity.  ``ambient_block`` and
-    ``offsets`` record where each sub-block sits inside its ambient basis.
-    """
-
-    ambient: BlockAlgebra
-    sub: BlockAlgebra
-    multiplicities: tuple[int, ...]
-    ambient_block: tuple[int, ...]
-    offsets: tuple[int, ...]            # column offset of each sub-block inside its ambient basis
-    basis: list[np.ndarray]             # per ambient block, a unitary change of basis
     commutant: list[AlgebraElement]     # orthonormal basis of the commutant of the family
     residual: float                     # max_i block-diagonalization residual
 
-    def compress(self, x: AlgebraElement) -> AlgebraElement:
-        """Conditional expectation onto the generated algebra, in sub coordinates."""
-        blocks = []
-        for s, (k, off, d, m) in enumerate(self._layout()):
-            w = self.basis[k][:, off : off + d * m]
-            conj = w.conj().T @ x.blocks[k] @ w
-            acc = np.zeros((d, d), dtype=complex)
-            for u in range(m):
-                acc += conj[u::m, u::m]
-            blocks.append(acc / m)
-        return AlgebraElement(self.sub, blocks)
 
-    def embed(self, y: AlgebraElement) -> AlgebraElement:
-        """Map sub-algebra elements back into the ambient algebra."""
-        mats = [np.zeros((d, d), dtype=complex) for d in self.ambient.dims]
-        for s, (k, off, d, m) in enumerate(self._layout()):
-            w = self.basis[k][:, off : off + d * m]
-            mats[k] += w @ np.kron(y.blocks[s], np.eye(m)) @ w.conj().T
-        return AlgebraElement(self.ambient, mats)
-
-    def compress_state(self, phi: State) -> State:
-        """Restrict the state: partial trace over the multiplicity index."""
-        densities = []
-        for s, (k, off, d, m) in enumerate(self._layout()):
-            w = self.basis[k][:, off : off + d * m]
-            conj = w.conj().T @ phi.densities[k] @ w
-            acc = np.zeros((d, d), dtype=complex)
-            for u in range(m):
-                acc += conj[u::m, u::m]
-            densities.append(acc)
-        return State(self.sub, densities)
-
-    def _layout(self):
-        return [
-            (self.ambient_block[s], self.offsets[s], self.sub.dims[s], self.multiplicities[s])
-            for s in range(self.sub.num_blocks)
-        ]
-
-
-def _commutant_basis(dim: int, family: list[np.ndarray], rank_tol: float) -> list[np.ndarray]:
-    """Basis of {y : [y, a] = 0 for all a in family} inside M_dim."""
-    if not family:
-        raise PreconditionError("empty generating family")
-    ops = []
-    eye = np.eye(dim)
-    for a in family:
-        ops.append(np.kron(a, eye) - np.kron(eye, a.T))  # row-major vec of a@y - y@a
-    stacked = np.vstack(ops)
-    _, s, vh = np.linalg.svd(stacked)
+def _kron_null_space(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndarray]:
+    """Basis of {y : a y = y b for every pair (a, b)}: the null space of the
+    stacked row-major operators kron(a, 1) - kron(1, b^T), cut at singular
+    values max(rank_tol * smax, floor)."""
+    d = pairs[0][0].shape[0]
+    eye = np.eye(d)
+    _, s, vh = np.linalg.svd(np.vstack([np.kron(a, eye) - np.kron(eye, b.T) for a, b in pairs]))
     smax = float(s[0]) if s.size and s[0] > 0 else 1.0
+    cutoff = max(rank_tol * smax, floor)
     # Null vectors of A = U S V^H are the conjugated rows of V^H at zero s.
-    rows = [vh[j].conj() for j in range(len(s)) if s[j] <= rank_tol * smax]
-    return [r.reshape(dim, dim) for r in rows]
+    return [vh[j].conj().reshape(d, d) for j in range(len(s)) if s[j] <= cutoff]
 
 
 def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: float):
@@ -467,17 +411,13 @@ def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: flo
     d = fam_a[0].shape[0]
     if fam_b[0].shape[0] != d:
         return None
-    eye = np.eye(d)
-    ops = [np.kron(a, eye) - np.kron(eye, b.T) for a, b in zip(fam_a, fam_b)]
-    _, s, vh = np.linalg.svd(np.vstack(ops))
-    smax = float(s[0]) if s.size and s[0] > 0 else 1.0
-    null = [vh[j].conj() for j in range(len(s)) if s[j] <= max(rank_tol * smax, 1e-11)]
+    null = _kron_null_space(list(zip(fam_a, fam_b)), rank_tol, floor=1e-11)
     if len(null) != 1:
         return None if not null else "degenerate"
-    t = null[0].reshape(d, d)
+    t = null[0]
     gram = t.conj().T @ t
     scale = float(np.trace(gram).real) / d
-    if scale <= 0 or np.linalg.norm(gram - scale * eye) > 1e-7 * max(scale, 1.0):
+    if scale <= 0 or np.linalg.norm(gram - scale * np.eye(d)) > 1e-7 * max(scale, 1.0):
         return "degenerate"
     t = t / math.sqrt(scale)
     flat = t.reshape(-1)
@@ -537,7 +477,7 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
 
     for k, d in enumerate(alg.dims):
         family = [h.blocks[k] for h in herm]
-        comm = _commutant_basis(d, family, tol.rank_tol)
+        comm = _kron_null_space([(a, a) for a in family], tol.rank_tol)
         for y in comm:
             blocks = [np.zeros((dd, dd), dtype=complex) for dd in alg.dims]
             nrm = np.linalg.norm(y)

@@ -30,6 +30,7 @@ from .algebra import (
     PreconditionError,
     Pvm,
     State,
+    SubAlgebra,
     Tolerances,
     DEFAULT_TOL,
     ValidationError,
@@ -52,47 +53,12 @@ def _ten_defect_check(name: str, error: float, eps_c: float) -> BoundCheck:
     return check_leq(name, error, 10.0 * eps_c + BOUND_SLACK)
 
 
-@dataclass
-class CommutantAlgebra:
-    """The commutant of a reference PVM, as a block algebra with bases.
+def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> SubAlgebra:
+    """Block algebra of all elements commuting with every q_j.
 
-    Per ambient block, the ranges of the q_j are extracted as orthonormal
-    column bases; each nonzero range becomes one central block of the
-    commutant algebra.  ``to_blocks``/``from_blocks`` move elements between
-    ambient and commutant coordinates.
+    Per ambient block, the ranges of the q_j are stacked into one unitary
+    basis; each nonzero range is one sub-block of multiplicity 1.
     """
-
-    ambient: BlockAlgebra
-    algebra: BlockAlgebra
-    ambient_block: tuple[int, ...]   # ambient block index of each commutant block
-    output_index: tuple[int, ...]    # which q_j the block came from
-    bases: list[np.ndarray]          # (d_ambient, rank) orthonormal columns
-
-    def to_blocks(self, x: AlgebraElement) -> AlgebraElement:
-        mats = [
-            b.conj().T @ x.blocks[k] @ b
-            for k, b in zip(self.ambient_block, self.bases)
-        ]
-        return AlgebraElement(self.algebra, mats)
-
-    def from_blocks(self, y: AlgebraElement) -> AlgebraElement:
-        mats = [np.zeros((d, d), dtype=complex) for d in self.ambient.dims]
-        for k, b, block in zip(self.ambient_block, self.bases, y.blocks):
-            mats[k] += b @ block @ b.conj().T
-        return AlgebraElement(self.ambient, mats)
-
-    def restrict_state(self, phi: State) -> State:
-        return State(
-            self.algebra,
-            [
-                b.conj().T @ phi.densities[k] @ b
-                for k, b in zip(self.ambient_block, self.bases)
-            ],
-        )
-
-
-def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> CommutantAlgebra:
-    """Block algebra of all elements commuting with every q_j."""
     alg = q.algebra
     diag = validate_pvm(alg, q, tol)
     if diag.idempotency_residual > max(tol.psd_tol, tol.cert_tol):
@@ -103,25 +69,26 @@ def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> CommutantAlgebra:
         raise PreconditionError(f"reference measurement fails POVM validation: {diag}")
     dims = []
     ambient_block = []
-    output_index = []
+    offsets = []
     bases = []
     for k, d in enumerate(alg.dims):
-        total_rank = 0
-        for j, e in enumerate(q.elements):
-            basis = projection_range(e.blocks[k])
+        ranges = [projection_range(e.blocks[k]) for e in q.elements]
+        offset = 0
+        for basis in ranges:
             r = basis.shape[1]
-            if r == 0:
-                continue
-            total_rank += r
-            dims.append(r)
-            ambient_block.append(k)
-            output_index.append(j)
-            bases.append(basis)
-        if total_rank != d:
+            if r:
+                dims.append(r)
+                ambient_block.append(k)
+                offsets.append(offset)
+                offset += r
+        if offset != d:
             raise PreconditionError(
-                f"ranks of the reference projections sum to {total_rank} in block {k}, expected {d}"
+                f"ranks of the reference projections sum to {offset} in block {k}, expected {d}"
             )
-    return CommutantAlgebra(alg, BlockAlgebra(tuple(dims)), tuple(ambient_block), tuple(output_index), bases)
+        bases.append(np.hstack(ranges))
+    return SubAlgebra(
+        alg, BlockAlgebra(tuple(dims)), (1,) * len(dims), tuple(ambient_block), tuple(offsets), bases
+    )
 
 
 def commutation_defect(phi: State, p: Pvm, q: Pvm) -> float:
@@ -135,7 +102,7 @@ def commutation_defect(phi: State, p: Pvm, q: Pvm) -> float:
 
 @dataclass
 class CompressedPovm:
-    commutant: CommutantAlgebra
+    commutant: SubAlgebra
     povm: Povm                 # a_i = sum_j q_j p_i q_j in commutant coordinates
     phi_restricted: State
     epsilon_c: float
@@ -167,11 +134,11 @@ def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> 
         sum(phi.expect(ai @ pi) for ai, pi in zip(ambient_a, p.elements)).imag
     )
 
-    compressed = Povm(comm.algebra, [comm.to_blocks(ai) for ai in ambient_a])
+    compressed = Povm(comm.sub, [comm.compress(ai) for ai in ambient_a])
     return CompressedPovm(
         comm,
         compressed,
-        comm.restrict_state(phi),
+        comm.compress_state(phi),
         eps_c,
         pinch_cost,
         compressed_defect,
@@ -204,11 +171,11 @@ def repair(phi: State, p: Pvm, q: Pvm, tol: Tolerances = DEFAULT_TOL) -> RepairR
     """Produce a PVM commuting with q within 10 * eps_c of p."""
     compressed = compress_povm(p, q, phi, tol)
     inner = orthogonalize(
-        compressed.commutant.algebra, compressed.phi_restricted, compressed.povm, tol
+        compressed.commutant.sub, compressed.phi_restricted, compressed.povm, tol
     )
     repaired = Pvm(
         p.algebra,
-        [compressed.commutant.from_blocks(e) for e in inner.pvm.elements],
+        [compressed.commutant.embed(e) for e in inner.pvm.elements],
     )
     error = sum(
         phi_norm_sq(phi, pi - ri) for pi, ri in zip(p.elements, repaired.elements)

@@ -22,8 +22,9 @@ from povmround import (
     validate_pvm,
 )
 from povmround.generators import gen_instance, random_pvm, rotated_pvm_pair
+from povmround.repair import commutant_of_pvm
 
-from conftest import random_density, rng_for
+from conftest import random_density, random_element, rng_for
 
 
 def rotated_pair(theta):
@@ -59,7 +60,7 @@ class TestCompressPovm:
         p = Pvm(m2, [m2.diagonal([[1, 0]]), m2.diagonal([[0, 1]])])
         q = Pvm(m2, [m2.identity()])
         comp = compress_povm(p, q, trace_state_m2)
-        back = [comp.commutant.from_blocks(e) for e in comp.povm.elements]
+        back = [comp.commutant.embed(e) for e in comp.povm.elements]
         assert max((a - b).norm_fro() for a, b in zip(back, p.elements)) <= 1e-12
 
     def test_rotated_identity_in_closed_form(self):
@@ -73,6 +74,20 @@ class TestCompressPovm:
         assert comp.pinch_cost == pytest.approx(2 * c2s2, abs=1e-13)
         assert comp.compressed_defect == pytest.approx(2 * c2s2, abs=1e-13)
         assert comp.imag_residual <= 1e-13
+
+    def test_commutant_is_a_sub_algebra(self):
+        rng = rng_for(21)
+        alg = BlockAlgebra((4, 3))
+        q = random_pvm(alg, 3, rng)
+        comm = commutant_of_pvm(q)
+        assert comm.multiplicities == (1,) * comm.sub.num_blocks
+        x = random_element(alg, rng)
+        pinched = alg.zero()
+        for qj in q.elements:
+            pinched = pinched + qj @ x @ qj
+        assert (comm.embed(comm.compress(x)) - pinched).norm_fro() <= 1e-12
+        phi = random_density(alg, rng)
+        assert comm.compress_state(phi).total_trace() == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

@@ -1,4 +1,5 @@
-"""Malformed CLI input exits 2, and the block decomposition has its own retry budget."""
+"""Malformed CLI input exits 2, verify checks a report's stored claims, and the
+block decomposition has its own retry budget."""
 
 import importlib
 import json
@@ -68,6 +69,52 @@ class TestVerifyRejects:
     def test_malformed_field(self, majorant_report, tmp_path, field, value):
         def edit(doc):
             doc["result"][field] = value
+        assert _verify_edited(tmp_path, majorant_report, edit) == 2
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("content", [
+        [],
+        {"format": "povmround/instance", "version": 1},
+        {"format": "povmround/instance", "version": 1, "dims": [2], "povm": [[[[1, 0]]]]},
+        {"format": "povmround/instance", "version": 1, "dims": [1], "povm": [[[[10**400, 0]]]]},
+    ], ids=["not-an-object", "no-dims", "matrix-not-pairs", "instance-entry-huge-int"])
+    def test_instance_file(self, tmp_path, capsys, content):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(content))
+        assert main(["orthogonalize", "--in", str(path)]) == 2
+        assert "povmround: " in capsys.readouterr().err
+
+    def test_directory_as_input(self, tmp_path):
+        assert main(["orthogonalize", "--in", str(tmp_path)]) == 2
+
+    def test_verify_report_not_an_object(self, tmp_path):
+        path = tmp_path / "rep.json"
+        path.write_text("[]")
+        assert main(["verify", "--in", str(path)]) == 2
+
+
+class TestVerifyStoredClaims:
+    def test_false_claims_fail(self, majorant_report, tmp_path, capsys):
+        assert main(["verify", "--in", str(majorant_report)]) == 0
+
+        def edit(doc):
+            doc["result"]["gap"] = -5.0
+            doc["result"]["primal"] = 123.0
+            doc["result"]["residuals"]["slackness"] = 99.0
+        capsys.readouterr()
+        assert _verify_edited(tmp_path, majorant_report, edit) == 1
+        failed = json.loads(capsys.readouterr().out)["failed"]
+        assert failed == ["stored_primal", "stored_gap", "stored_slackness"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["result"].pop("gap"),
+        lambda d: d["result"].update(dual="1.0"),
+        lambda d: d["result"]["residuals"].pop("feasibility"),
+        lambda d: d["result"].update(residuals=None),
+        lambda d: d["result"].update(gap=10**400),
+    ], ids=["gap-missing", "dual-string", "feasibility-missing", "residuals-null", "gap-huge-int"])
+    def test_malformed_claim(self, majorant_report, tmp_path, edit):
         assert _verify_edited(tmp_path, majorant_report, edit) == 2
 
 
