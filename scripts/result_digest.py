@@ -35,7 +35,6 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("POVMROUND_TOL_OVERRIDES", None)
 
 # The gen instances of tests/test_io_cli.py: (name, kind, seed, params, extra flags).
 GEN_CASES = (

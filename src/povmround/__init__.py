@@ -12,7 +12,6 @@ Core entry points:
 
 from .algebra import (
     AlgebraElement,
-    BarrierConfig,
     BlockAlgebra,
     CenterValue,
     Cluster,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement",
-    "BarrierConfig",
     "BlockAlgebra",
     "CenterValue",
     "Cluster",

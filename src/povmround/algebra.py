@@ -15,7 +15,8 @@ mode's generated algebra).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -68,71 +69,45 @@ def check_geq(name: str, value: float, threshold: float) -> BoundCheck:
 
 
 @dataclass(frozen=True)
-class BarrierConfig:
-    """Interior-point parameters for the minimal-majorant solver."""
-
-    mu0_scale: float = 1.0
-    mu_shrink: float = 0.25
-    newton_tol: float = 1e-7
-    gap_tol: float = 1e-6
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_shrink < 1.0):
-            raise ValidationError("mu_shrink must lie in (0, 1)")
-        for name in ("mu0_scale", "newton_tol", "gap_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be positive")
-
-
-@dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used across the package.
 
     cluster_tol groups nearby eigenvalues (scaled by the spectral radius at
     the point of use), rank_tol is a relative singular-value cutoff, psd_tol
     is the allowed negativity slack for positivity checks, and cert_tol is
-    the residual allowed in exact-identity certificates.
+    the residual allowed in exact-identity certificates.  The minimal-majorant
+    barrier solver shrinks mu by mu_shrink per stage, centers each stage to
+    gradient norm newton_tol, stops at a certified gap of gap_tol (relative to
+    the family's scale), and takes at most max_iters Newton steps per stage
+    and max_iters stages.
     """
 
     cluster_tol: float = 1e-8
     rank_tol: float = 1e-10
     psd_tol: float = 1e-9
     cert_tol: float = 1e-9
-    barrier: BarrierConfig = field(default_factory=BarrierConfig)
+    mu_shrink: float = 0.25
+    newton_tol: float = 1e-7
+    gap_tol: float = 1e-6
+    max_iters: int = 200
 
     def __post_init__(self):
-        for name in ("cluster_tol", "rank_tol", "psd_tol", "cert_tol"):
+        for name in ("cluster_tol", "rank_tol", "psd_tol", "cert_tol", "newton_tol", "gap_tol"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-
-    _OWN_KEYS = ("cluster_tol", "rank_tol", "psd_tol", "cert_tol")
-    _BARRIER_KEYS = ("mu0_scale", "mu_shrink", "newton_tol", "gap_tol", "max_iters")
+        if not (0.0 < self.mu_shrink < 1.0):
+            raise ValidationError("mu_shrink must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be positive")
 
     def replace(self, **kwargs) -> "Tolerances":
-        unknown = set(kwargs) - set(self._OWN_KEYS) - set(self._BARRIER_KEYS)
+        unknown = set(kwargs) - {f.name for f in fields(self)}
         if unknown:
             raise ValidationError(f"unknown tolerance keys: {sorted(unknown)}")
-        barrier_keys = {k: v for k, v in kwargs.items() if k in self._BARRIER_KEYS}
-        own_keys = {k: v for k, v in kwargs.items() if k in self._OWN_KEYS}
-        barrier = self.barrier
-        if barrier_keys:
-            merged = {**barrier.__dict__, **barrier_keys}
-            barrier = BarrierConfig(**merged)
-        return Tolerances(
-            cluster_tol=own_keys.get("cluster_tol", self.cluster_tol),
-            rank_tol=own_keys.get("rank_tol", self.rank_tol),
-            psd_tol=own_keys.get("psd_tol", self.psd_tol),
-            cert_tol=own_keys.get("cert_tol", self.cert_tol),
-            barrier=barrier,
-        )
+        return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self._OWN_KEYS}
-        d.update({k: getattr(self.barrier, k) for k in self._BARRIER_KEYS})
-        return d
+        return dataclasses.asdict(self)
 
 
 DEFAULT_TOL = Tolerances()

@@ -7,10 +7,9 @@
 Commands: orthogonalize, orthogonalize-sym, repair, fourier, majorant,
 verify (majorant reports only), gen, sweep.  Exit code 0 means every
 certified bound passed, 1 a bound failed (the failing certificate is named
-on stderr), 2 the input could not be read, parsed or validated.
-POVMROUND_TOL_OVERRIDES provides comma-separated key=val tolerance overrides
-at lower precedence than --tol flags.  Every check comes from the solver
-report's own ``checks()``; this module only solves and formats.
+on stderr), 2 the input could not be read, parsed or validated, or the output
+could not be written.  Every check comes from the solver report's own
+``checks()``; this module only solves and formats.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from __future__ import annotations
 import argparse
 import csv as csv_module
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
-from .algebra import PovmRoundError, Tolerances, ValidationError, check_geq
+from .algebra import DEFAULT_TOL, PovmRoundError, Tolerances, ValidationError, check_geq
 from .generators import KINDS, gen_instance
 from .io import (
     Instance,
@@ -247,9 +245,6 @@ def _parse_items(items, what: str, types: dict) -> dict:
     return parsed
 
 
-_TOL_TYPES = {"max_iters": int}
-
-
 def _flag(val: str) -> bool:
     return val.lower() in ("1", "true", "yes")
 
@@ -267,12 +262,8 @@ _PARAM_TYPES = {
 
 
 def build_tolerances(tol_flags) -> Tolerances:
-    overrides = {}
-    env = os.environ.get("POVMROUND_TOL_OVERRIDES", "")
-    if env.strip():
-        overrides.update(_parse_items(env.split(","), "tolerance override", _TOL_TYPES))
-    overrides.update(_parse_items(tol_flags or [], "tolerance override", _TOL_TYPES))
-    return Tolerances().replace(**overrides)
+    types = {key: type(val) for key, val in DEFAULT_TOL.as_dict().items()}
+    return DEFAULT_TOL.replace(**_parse_items(tol_flags or [], "tolerance override", types))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,18 +361,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = run_command(args)
+        if getattr(args, "output", None) and args.command != "gen":
+            save_report(doc, args.output)
     except ValidationError as exc:
         print(f"povmround: {exc}", file=sys.stderr)
         return 2
     except PovmRoundError as exc:
         print(f"povmround: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unwritable --out, --csv or gen output
         print(f"povmround: {exc}", file=sys.stderr)
         return 2
 
-    if getattr(args, "output", None) and args.command != "gen":
-        save_report(doc, args.output)
     failed = [c["name"] for c in doc["checks"] if not c["pass"]]
     summary = {
         "command": doc["command"],

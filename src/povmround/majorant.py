@@ -66,10 +66,10 @@ class FunctionalFamily:
     def validate(self, tol: Tolerances = DEFAULT_TOL):
         for i, e in enumerate(self.elements):
             if e.skew_norm() > tol.cert_tol * max(1.0, e.norm_fro()):
-                raise PreconditionError(f"functional {i} is not Hermitian")
+                raise ValidationError(f"functional {i} is not Hermitian")
             low = min(float(w.min()) for w in e.eigvals())
             if low < -tol.psd_tol * max(1.0, e.spectral_radius()):
-                raise PreconditionError(
+                raise ValidationError(
                     f"functional {i} is not positive (min eigenvalue {low:.3e})"
                 )
 
@@ -98,7 +98,7 @@ class MajorantSolution:
         """The certified optimality bounds of this solution for the family f."""
         scale = f.scale()
         res = self.residuals
-        gap_bound = tol.barrier.gap_tol * scale
+        gap_bound = tol.gap_tol * scale
         return [
             check_geq("feasibility", res.feasibility, -tol.psd_tol * scale),
             check_geq("dual_positivity", res.dual_positivity, -tol.psd_tol * scale),
@@ -193,36 +193,37 @@ def _chol_logdet(m):
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(c)))))
 
 
+def _barrier(z, fam, mu):
+    """Tr(z) - mu * sum_i log det(z - a_i); raises LinAlgError when not interior."""
+    return float(np.trace(z).real) - mu * sum(_chol_logdet(z - a) for a in fam)
+
+
 def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
     """Damped Newton minimization of the barrier at fixed mu, per block."""
     iters = 0
     for k, z in enumerate(z_blocks):
         d = z.shape[0]
         eye = np.eye(d)
-        for _ in range(tol.barrier.max_iters):
+        current = _barrier(z, fam_blocks[k], mu)
+        for _ in range(tol.max_iters):
             inverses = [np.linalg.inv(_herm(z - a)) for a in fam_blocks[k]]
             grad = eye - mu * sum(inverses)
-            if np.linalg.norm(grad) <= tol.barrier.newton_tol:
+            if np.linalg.norm(grad) <= tol.newton_tol:
                 break
             hess = mu * sum(np.kron(w, w.T) for w in inverses)
             step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
             step = _herm(step)
 
-            current = float(np.trace(z).real) - mu * sum(
-                _chol_logdet(z - a) for a in fam_blocks[k]
-            )
             t = 1.0
             for _ in range(60):
                 cand = z + t * step
                 try:
-                    value = float(np.trace(cand).real) - mu * sum(
-                        _chol_logdet(cand - a) for a in fam_blocks[k]
-                    )
+                    value = _barrier(cand, fam_blocks[k], mu)
                 except np.linalg.LinAlgError:
                     t *= 0.5
                     continue
                 if value <= current + 1e-12 * max(1.0, abs(current)):
-                    z = cand
+                    z, current = cand, value
                     break
                 t *= 0.5
             else:
@@ -250,7 +251,7 @@ def minimal_majorant(
     n = f.n
     dim = alg.total_dim
     scale = f.scale()
-    gap_target = tol.barrier.gap_tol * scale
+    gap_target = tol.gap_tol * scale
 
     fam_blocks = [[e.blocks[k] for e in f.elements] for k in range(alg.num_blocks)]
     top = max(max(float(w.max()) for w in e.eigvals()) for e in f.elements)
@@ -259,14 +260,14 @@ def minimal_majorant(
     # Land just inside the certified-gap target: shrinking mu further only
     # makes the nearly-active blocks of z - a_i more singular for no benefit.
     mu_target = 0.5 * gap_target / (n * dim)
-    mu = max(tol.barrier.mu0_scale * (top + 1.0), mu_target)
+    mu = max(top + 1.0, mu_target)
     total_iters = 0
-    for _ in range(tol.barrier.max_iters):
+    for _ in range(tol.max_iters):
         z_blocks, it = _newton_center(z_blocks, fam_blocks, mu, tol)
         total_iters += it
         if mu <= mu_target:
             break
-        mu = max(mu * tol.barrier.mu_shrink, mu_target)
+        mu = max(mu * tol.mu_shrink, mu_target)
     else:
         raise SolverError("barrier loop exhausted max_iters before reaching gap_tol")
 

@@ -262,11 +262,11 @@ class TestTolerances:
     def test_defaults_positive(self):
         tol = Tolerances()
         assert tol.cert_tol == 1e-9 and tol.psd_tol == 1e-9
-        assert 0 < tol.barrier.mu_shrink < 1
+        assert 0 < tol.mu_shrink < 1
 
     def test_replace_touches_barrier(self):
         tol = Tolerances().replace(gap_tol=1e-8, cert_tol=1e-10)
-        assert tol.barrier.gap_tol == 1e-8
+        assert tol.gap_tol == 1e-8
         assert tol.cert_tol == 1e-10
         assert tol.psd_tol == 1e-9
 

@@ -1,11 +1,13 @@
 """Serialization exactness, generator determinism, and the CLI surface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from povmround import (
+    Tolerances,
     ValidationError,
     validate_povm,
     validate_pvm,
@@ -224,19 +226,20 @@ class TestCli:
         ]) == 0
         doc = load_report(report_path)
         assert doc["tolerances"]["gap_tol"] == 1e-5
+        assert set(doc["tolerances"]) == {f.name for f in dataclasses.fields(Tolerances)}
 
 
 class TestToleranceOverrides:
-    def test_env_lower_precedence_than_flag(self, monkeypatch):
-        monkeypatch.setenv("POVMROUND_TOL_OVERRIDES", "gap_tol=1e-3,cert_tol=1e-8")
-        tol = build_tolerances(["gap_tol=1e-5"])
-        assert tol.barrier.gap_tol == 1e-5   # flag wins
-        assert tol.cert_tol == 1e-8          # env applies
-
-    def test_env_only(self, monkeypatch):
-        monkeypatch.setenv("POVMROUND_TOL_OVERRIDES", "psd_tol=1e-7")
-        tol = build_tolerances([])
-        assert tol.psd_tol == 1e-7
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        inst_path = tmp_path / "fun.json"
+        report_path = tmp_path / "maj.json"
+        assert main([
+            "gen", "--kind", "random_functionals", "--seed", "4",
+            "--param", "dims=2", "--param", "n=2", "--out", str(inst_path),
+        ]) == 0
+        monkeypatch.setenv("POVMROUND_TOL_OVERRIDES", "gap_tol=abc")
+        assert main(["majorant", "--in", str(inst_path), "--out", str(report_path)]) == 0
+        assert load_report(report_path)["tolerances"]["gap_tol"] == 1e-6
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ValidationError):
@@ -248,6 +251,5 @@ class TestToleranceOverrides:
             "gen", "--kind", "linfty2_family", "--seed", "0",
             "--param", "c=0.1", "--out", str(inst_path),
         ]) == 0
-        assert main([
-            "orthogonalize", "--in", str(inst_path), "--tol", "bogus=1",
-        ]) == 2
+        for flag in ("bogus=1", "mu0_scale=2"):
+            assert main(["orthogonalize", "--in", str(inst_path), "--tol", flag]) == 2

@@ -11,6 +11,7 @@ from povmround import (
     FunctionalFamily,
     PreconditionError,
     Tolerances,
+    ValidationError,
     commuting_majorant_oracle,
     minimal_majorant,
     verify_majorant_certificate,
@@ -119,12 +120,12 @@ class TestMinimalMajorant:
             raw.append(AlgebraElement(alg, blocks))
         ident = alg.identity()
         stat = (sum(raw[1:], raw[0]) - ident).norm_fro()
-        assert stat <= tol.barrier.newton_tol
+        assert stat <= tol.newton_tol
         recon = sol.majorant - sum(
             (raw[i] @ fam.elements[i] for i in range(1, n)), raw[0] @ fam.elements[0]
         )
         for k, d in enumerate(alg.dims):
-            assert np.linalg.norm(recon.blocks[k] - n * mu * np.eye(d)) <= 10 * tol.barrier.newton_tol
+            assert np.linalg.norm(recon.blocks[k] - n * mu * np.eye(d)) <= 10 * tol.newton_tol
 
     def test_residual_scalings(self):
         for seed in (0, 1, 2, 3):
@@ -162,7 +163,7 @@ class TestMinimalMajorant:
     def test_non_psd_rejected(self):
         alg = BlockAlgebra((2,))
         fam = FunctionalFamily([alg.diagonal([[1.0, -0.5]])])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValidationError):
             minimal_majorant(alg, fam)
 
 

@@ -1,5 +1,5 @@
-"""Malformed CLI input exits 2, verify checks a report's stored claims, and the
-block decomposition has its own retry budget."""
+"""Malformed CLI input and unwritable output exit 2, verify checks a report's
+stored claims, and the block decomposition has its own retry budget."""
 
 import importlib
 import json
@@ -92,6 +92,35 @@ class TestMalformedFiles:
         path = tmp_path / "rep.json"
         path.write_text("[]")
         assert main(["verify", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0], [0, -0.5]],
+        [[1, 0.3], [0, 0.5]],
+    ], ids=["functional-not-positive", "functional-not-hermitian"])
+    def test_invalid_functional(self, tmp_path, capsys, matrix):
+        path = tmp_path / "fun.json"
+        element = [[[[v, 0.0] for v in row] for row in matrix]]
+        path.write_text(json.dumps(
+            {"format": "povmround/instance", "version": 1, "dims": [2], "functionals": [element]}
+        ))
+        assert main(["majorant", "--in", str(path)]) == 2
+        assert "functional 0 is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonalize", "--in", "{lin}", "--out", "{dir}"],
+    ["orthogonalize", "--in", "{lin}", "--out", "{dir}/missing/x.json"],
+    ["gen", "--kind", "linfty2_family", "--out", "{dir}"],
+    ["sweep", "--count", "1", "--csv", "{dir}"],
+    ["sweep", "--count", "1", "--out", "{dir}"],
+], ids=["report-to-directory", "report-to-missing-directory", "gen-to-directory",
+        "csv-to-directory", "sweep-report-to-directory"])
+def test_unwritable_output(tmp_path, capsys, argv):
+    lin = tmp_path / "lin.json"
+    assert main(["gen", "--kind", "linfty2_family", "--param", "c=0.1", "--out", str(lin)]) == 0
+    capsys.readouterr()
+    assert main([arg.format(lin=lin, dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("povmround: ")
 
 
 class TestVerifyStoredClaims:
