@@ -16,6 +16,7 @@ mode's generated algebra).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -93,8 +94,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("cluster_tol", "rank_tol", "psd_tol", "cert_tol", "newton_tol", "gap_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
+                raise ValidationError(f"{name} must be finite and positive")
         if not (0.0 < self.mu_shrink < 1.0):
             raise ValidationError("mu_shrink must lie in (0, 1)")
         if self.max_iters < 1:
@@ -145,6 +146,11 @@ class BlockAlgebra:
     def diagonal(self, entries: Sequence[Sequence[float]]) -> "AlgebraElement":
         """Element with the given per-block diagonal entries."""
         return AlgebraElement(self, [np.diag(np.asarray(e, dtype=complex)) for e in entries])
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H) / 2 of one square matrix."""
+    return (a + a.conj().T) / 2
 
 
 def _as_block(mat, dim: int) -> np.ndarray:
@@ -214,12 +220,12 @@ class AlgebraElement:
     def hermitized(self) -> tuple["AlgebraElement", float]:
         """Symmetrized copy together with the removed residual, never silent."""
         residual = self.skew_norm()
-        h = AlgebraElement(self.algebra, [(a + a.conj().T) / 2 for a in self.blocks])
+        h = AlgebraElement(self.algebra, [hermitian_part(a) for a in self.blocks])
         return h, residual
 
     def eigvals(self) -> list[np.ndarray]:
         """Per-block eigenvalues of the Hermitian part, ascending."""
-        return [np.linalg.eigvalsh((a + a.conj().T) / 2) for a in self.blocks]
+        return [np.linalg.eigvalsh(hermitian_part(a)) for a in self.blocks]
 
     def spectral_radius(self) -> float:
         return max(float(np.abs(w).max()) if w.size else 0.0 for w in self.eigvals())
@@ -236,7 +242,7 @@ def hermitian_sqrt(x: AlgebraElement, lo: float = 0.0, hi: float = np.inf) -> tu
     roots = []
     clip = 0.0
     for a in x.blocks:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        w, v = np.linalg.eigh(hermitian_part(a))
         wc = np.clip(w, lo, hi)
         if w.size:
             clip = max(clip, float(np.abs(w - wc).max()))
@@ -265,12 +271,9 @@ class State:
             raise ShapeMismatchError(
                 f"state has {len(densities)} density blocks, algebra has {algebra.num_blocks}"
             )
-        blocks = [_as_block(r, d) for r, d in zip(densities, algebra.dims)]
-        residual = float(
-            np.sqrt(sum(np.linalg.norm((r - r.conj().T) / 2) ** 2 for r in blocks))
-        )
+        h, residual = AlgebraElement(algebra, densities).hermitized()
         self.algebra = algebra
-        self.densities = tuple((r + r.conj().T) / 2 for r in blocks)
+        self.densities = h.blocks
         self.hermitization_residual = residual
 
     @classmethod
@@ -411,9 +414,7 @@ class PvmDiagnostics(PovmDiagnostics):
 
 def validate_pvm(alg: BlockAlgebra, p: Povm, tol: Tolerances = DEFAULT_TOL) -> PvmDiagnostics:
     base = validate_povm(alg, p, tol)
-    idem = max(
-        float((e @ e - e).norm_fro()) for e in p.elements
-    )
+    idem = idempotency_residual(p.elements)
     ok = base.is_valid and idem <= tol.cert_tol
     return PvmDiagnostics(
         ok, base.max_negativity, base.max_excess, base.sum_residual,
@@ -421,9 +422,30 @@ def validate_pvm(alg: BlockAlgebra, p: Povm, tol: Tolerances = DEFAULT_TOL) -> P
     )
 
 
+def require_valid(diag, what: str, error: type[PovmRoundError] = ValidationError):
+    """Raise ``error("<what>: <diag>")`` unless the diagnostics are valid."""
+    if not diag.is_valid:
+        raise error(f"{what}: {diag}")
+
+
+def idempotency_residual(elements: Sequence[AlgebraElement]) -> float:
+    """max_i ||x_i^2 - x_i||_F."""
+    return max(float((e @ e - e).norm_fro()) for e in elements)
+
+
+def max_commutator(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement]) -> float:
+    """max over x in xs, y in ys of ||xy - yx||_F (0 when either is empty)."""
+    return max((x.commutator(y).norm_fro() for x in xs for y in ys), default=0.0)
+
+
 def phi_norm_sq(phi: State, x: AlgebraElement) -> float:
     """Squared state seminorm phi(x* x)."""
     return phi.expect(x.H @ x).real
+
+
+def phi_distance_sq(phi: State, xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement]) -> float:
+    """sum_i phi(|x_i - y_i|^2), the rounding error of ys against xs."""
+    return sum(phi_norm_sq(phi, x - y) for x, y in zip(xs, ys))
 
 
 def defect(phi: State, a: Povm) -> float:
@@ -486,6 +508,19 @@ class SpectralClusters:
         return AlgebraElement(alg, mats)
 
 
+def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split eigenpairs (w descending, v's columns alongside) into runs: a new
+    run starts wherever w[j - 1] - w[j] exceeds gap.  Returns (values, basis
+    columns) per run; each caller sets its own order and gap."""
+    runs = []
+    start = 0
+    for j in range(1, len(w) + 1):
+        if j == len(w) or (w[j - 1] - w[j]) > gap:
+            runs.append((w[start:j], v[:, start:j].copy()))
+            start = j
+    return runs
+
+
 def spectral_clusters(h: AlgebraElement, cluster_tol: float, cert_tol: float = 1e-9) -> SpectralClusters:
     """Cluster the spectrum of a Hermitian element by gaps above cluster_tol.
 
@@ -498,17 +533,9 @@ def spectral_clusters(h: AlgebraElement, cluster_tol: float, cert_tol: float = 1
         raise ValidationError(f"element is not Hermitian (skew norm {skew:.3e})")
     out = []
     for a in h.blocks:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
-        w = w[::-1]
-        v = v[:, ::-1]
-        clusters = []
-        start = 0
-        for j in range(1, len(w) + 1):
-            if j == len(w) or (w[j - 1] - w[j]) > cluster_tol:
-                vals = w[start:j]
-                clusters.append(Cluster(float(vals.mean()), v[:, start:j].copy()))
-                start = j
-        out.append(tuple(clusters))
+        w, v = np.linalg.eigh(hermitian_part(a))
+        runs = split_at_gaps(w[::-1], v[:, ::-1], cluster_tol)
+        out.append(tuple(Cluster(float(vals.mean()), basis) for vals, basis in runs))
     return SpectralClusters(tuple(out))
 
 
@@ -524,7 +551,8 @@ class SubAlgebra:
     Sub-block s uses the d_s * m_s columns of ``basis[ambient_block[s]]`` from
     ``offsets[s]`` on, where y reads y tensor 1_m (column alpha * m + u is copy
     u of vector alpha).  ``compress`` and ``compress_state`` share one partial
-    trace over the multiplicity; ``embed`` maps back.
+    trace over the multiplicity; ``embed`` maps back.  A solver applied inside
+    the sub-algebra starts from ``restrict`` and ends with ``embed_pvm``.
     """
 
     ambient: BlockAlgebra
@@ -574,3 +602,11 @@ class SubAlgebra:
                 block = np.kron(block, np.eye(m))
             mats[k] += w @ block @ w.conj().T
         return AlgebraElement(self.ambient, mats)
+
+    def restrict(self, phi: State, elements: Sequence[AlgebraElement]) -> tuple[State, Povm]:
+        """The state and the POVM (a_i) carried into sub coordinates."""
+        return self.compress_state(phi), Povm(self.sub, [self.compress(e) for e in elements])
+
+    def embed_pvm(self, pvm: Pvm) -> Pvm:
+        """A PVM of the sub-algebra as a PVM of the ambient algebra."""
+        return Pvm(self.ambient, [self.embed(p) for p in pvm.elements])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import dataclasses
 import math
 import sys
 import time
@@ -39,7 +40,7 @@ from .io import (
 )
 from .majorant import majorant_certificate, minimal_majorant
 from .orthogonalize import nine_defect_check, orthogonalize, orthogonalize_symmetry_preserving
-from .repair import pvm_to_unitary, repair, repair_unitary_pair, roundtrip_residual
+from .repair import pvm_to_unitary, repair, repair_unitary_pair
 
 
 def _json_ratio(ratio):
@@ -55,16 +56,7 @@ def _orth_result(report) -> dict:
         "selection_value": report.selection.value,
         "ranks": report.selection.ranks,
         "pvm": [encode_element(p) for p in report.pvm.elements],
-        "certificates": {
-            "pvm_idempotency": report.certificates.pvm_idempotency,
-            "pvm_sum_residual": report.certificates.pvm_sum_residual,
-            "midpoint_residual": report.certificates.midpoint_residual,
-            "polar_residual": report.certificates.polar_residual,
-            "sqrt_clip": report.certificates.sqrt_clip,
-            "term_unselected": report.certificates.term_unselected,
-            "term_modulus": report.certificates.term_modulus,
-            "term_selected_nonproj": report.certificates.term_selected_nonproj,
-        },
+        "certificates": dataclasses.asdict(report.certificates),
     }
 
 
@@ -114,8 +106,8 @@ def _cmd_fourier(inst: Instance, tol: Tolerances):
     p, q = inst.pvm_pair
     v = pvm_to_unitary(p, tol)
     u = pvm_to_unitary(q, tol)
-    roundtrip = max(roundtrip_residual(p, v, tol), roundtrip_residual(q, u, tol))
     rep = repair_unitary_pair(inst.state, u, q.n, v, p.n, tol)
+    roundtrip = rep.roundtrip_residual(p, q)
     result = {
         "lhs": rep.lhs,
         "rhs_error": rep.rhs_error,
@@ -292,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--param", action="append", default=[], metavar="KEY=VAL")
     p_gen.add_argument("--out", dest="output", required=True)
-    p_gen.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
 
     p_sweep = sub.add_parser("sweep", help="batch of seeded rounding instances")
     p_sweep.add_argument("--count", type=int, default=20)

@@ -19,20 +19,24 @@ from .algebra import (
     PreconditionError,
     Pvm,
     State,
+    ValidationError,
+    hermitian_part,
 )
 from .io import Instance
 from .majorant import FunctionalFamily
 
 GENERATOR_NAME = "numpy-pcg64"
 
-KINDS = (
-    "random_povm_near_pvm",
-    "random_state",
-    "paper_counterexample",
-    "linfty2_family",
-    "rotated_pvm_pair",
-    "random_functionals",
-)
+# The parameter keys each instance kind reads; gen_instance rejects any other.
+KIND_KEYS = {
+    "random_povm_near_pvm": ("dims", "n", "delta", "state_rank", "single_block"),
+    "random_state": ("dims", "state_rank", "single_block"),
+    "paper_counterexample": ("delta",),
+    "linfty2_family": ("c",),
+    "rotated_pvm_pair": ("theta", "canonical", "dims", "n_p", "n_q"),
+    "random_functionals": ("dims", "n", "diagonal"),
+}
+KINDS = tuple(KIND_KEYS)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -48,8 +52,7 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2
+    h = hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     norm = np.linalg.norm(h, 2)
     return h / norm if norm > 0 else h
 
@@ -96,7 +99,7 @@ def random_povm_near_pvm(
         ]
         perturbed.append(noisy)
         for b in noisy:
-            gamma = max(gamma, float(-np.linalg.eigvalsh((b + b.conj().T) / 2).min()))
+            gamma = max(gamma, float(-np.linalg.eigvalsh(hermitian_part(b)).min()))
     shifted = [
         [b + gamma * np.eye(d) for b, d in zip(blocks, alg.dims)]
         for blocks in perturbed
@@ -104,7 +107,7 @@ def random_povm_near_pvm(
     total = [sum(blocks[k] for blocks in shifted) for k in range(alg.num_blocks)]
     inv_roots = []
     for t in total:
-        w, v = np.linalg.eigh((t + t.conj().T) / 2)
+        w, v = np.linalg.eigh(hermitian_part(t))
         inv_roots.append((v / np.sqrt(w)) @ v.conj().T)
     elements = [
         AlgebraElement(
@@ -120,7 +123,7 @@ def counterexample_triple(delta: float) -> tuple[BlockAlgebra, State, Povm]:
     """Three-output POVM in M_2 with no common eigenvector: every output has
     normalized trace at most 1/2, yet the orthogonality defect is O(delta)."""
     if not (0.0 < delta <= 0.1):
-        raise PreconditionError("delta must lie in (0, 0.1]")
+        raise ValidationError("delta must lie in (0, 0.1]")
     alg = BlockAlgebra((2,))
     f = 1.0 / (1.0 + 6.0 * delta)
     s3 = math.sqrt(3.0) * delta
@@ -137,7 +140,7 @@ def linfty2_family(c: float) -> tuple[BlockAlgebra, State, Povm]:
     rounding error at exactly half the weight c of the second coordinate:
     a_1 = (1, 1/2), a_2 = (0, 1/2), phi = (1 - c, c)."""
     if not (0.0 < c < 1.0):
-        raise PreconditionError("c must lie in (0, 1)")
+        raise ValidationError("c must lie in (0, 1)")
     alg = BlockAlgebra((1, 1))
     a1 = alg.diagonal([[1.0], [0.5]])
     a2 = alg.diagonal([[0.0], [0.5]])
@@ -160,11 +163,11 @@ def rotated_pvm_pair(
     basis split, p its Givens rotation by theta, state the normalized trace.
     """
     if not (0.0 < theta <= math.pi / 4):
-        raise PreconditionError("theta must lie in (0, pi/4]")
+        raise ValidationError("theta must lie in (0, pi/4]")
     alg = BlockAlgebra(tuple(dims))
     if canonical:
         if tuple(dims) != (2,) or (n_p, n_q) != (2, 2):
-            raise PreconditionError("canonical pair is defined for dims=(2,) with 2+2 outputs")
+            raise ValidationError("canonical pair is defined for dims=(2,) with 2+2 outputs")
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s], [s, c]], dtype=complex)
         q = Pvm(alg, [alg.diagonal([[1.0, 0.0]]), alg.diagonal([[0.0, 1.0]])])
@@ -213,12 +216,19 @@ def random_functionals(
 
 def _require(cond: bool, message: str):
     if not cond:
-        raise PreconditionError(message)
+        raise ValidationError(message)
 
 
 def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
     """Build one instance deterministically from (kind, seed, params)."""
     params = dict(params or {})
+    if kind not in KIND_KEYS:
+        raise PreconditionError(f"unknown instance kind {kind!r}; choose one of {KINDS}")
+    unknown = sorted(set(params) - set(KIND_KEYS[kind]))
+    if unknown:
+        raise ValidationError(
+            f"kind {kind!r} reads no parameter {unknown}; its keys are {list(KIND_KEYS[kind])}"
+        )
     meta = {
         "kind": kind,
         "seed": int(seed),
@@ -278,5 +288,3 @@ def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
         alg = BlockAlgebra(dims)
         fam = random_functionals(alg, n, rng, diagonal=bool(params.get("diagonal", False)))
         return Instance(alg, functionals=fam, metadata=meta)
-
-    raise PreconditionError(f"unknown instance kind {kind!r}; choose one of {KINDS}")

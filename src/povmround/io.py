@@ -29,6 +29,7 @@ from .algebra import (
     Tolerances,
     DEFAULT_TOL,
     ValidationError,
+    require_valid,
     validate_povm,
     validate_pvm,
     validate_state,
@@ -118,21 +119,15 @@ class Instance:
             inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
             if "state" in doc:
                 inst.state = State(alg, [_decode_matrix(r) for r in doc["state"]])
-                diag = validate_state(alg, inst.state, tol)
-                if not diag.is_valid:
-                    raise ValidationError(f"state in file fails validation: {diag}")
+                require_valid(validate_state(alg, inst.state, tol), "state in file fails validation")
             if "povm" in doc:
                 inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
-                diag = validate_povm(alg, inst.povm, tol)
-                if not diag.is_valid:
-                    raise ValidationError(f"POVM in file fails validation: {diag}")
+                require_valid(validate_povm(alg, inst.povm, tol), "POVM in file fails validation")
             if "pvm_pair" in doc:
                 p = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["p"]])
                 q = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["q"]])
                 for name, pvm in (("p", p), ("q", q)):
-                    diag = validate_pvm(alg, pvm, tol)
-                    if not diag.is_valid:
-                        raise ValidationError(f"PVM {name!r} in file fails validation: {diag}")
+                    require_valid(validate_pvm(alg, pvm, tol), f"PVM {name!r} in file fails validation")
                 inst.pvm_pair = (p, q)
             if "functionals" in doc:
                 fam = FunctionalFamily([decode_element(alg, e) for e in doc["functionals"]])

@@ -30,6 +30,7 @@ from .algebra import (
     ValidationError,
     check_geq,
     check_leq,
+    hermitian_part,
 )
 
 # Thresholds of the certified optimality bounds, relative to FunctionalFamily.scale();
@@ -158,12 +159,14 @@ def majorant_certificate(
     dual_value = sum((f.elements[i] @ duals[i]).trace().real for i in range(n))
     residuals = MajorantResiduals(
         feasibility=min(
-            float(np.linalg.eigvalsh(_herm((z - e).blocks[k])).min())
+            float(np.linalg.eigvalsh(hermitian_part((z - e).blocks[k])).min())
             for e in f.elements
             for k in blocks
         ),
         dual_positivity=min(
-            float(np.linalg.eigvalsh(_herm(t.blocks[k])).min()) for t in duals for k in blocks
+            float(np.linalg.eigvalsh(hermitian_part(t.blocks[k])).min())
+            for t in duals
+            for k in blocks
         ),
         povm_sum=(sum(duals[1:], duals[0]) - z.algebra.identity()).norm_fro(),
         slackness=max((duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n)),
@@ -183,13 +186,9 @@ def majorant_certificate(
     )
 
 
-def _herm(m):
-    return (m + m.conj().T) / 2
-
-
 def _chol_logdet(m):
     """Cholesky log-determinant; raises LinAlgError when not PD."""
-    c = np.linalg.cholesky(_herm(m))
+    c = np.linalg.cholesky(hermitian_part(m))
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(c)))))
 
 
@@ -206,13 +205,13 @@ def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
         eye = np.eye(d)
         current = _barrier(z, fam_blocks[k], mu)
         for _ in range(tol.max_iters):
-            inverses = [np.linalg.inv(_herm(z - a)) for a in fam_blocks[k]]
+            inverses = [np.linalg.inv(hermitian_part(z - a)) for a in fam_blocks[k]]
             grad = eye - mu * sum(inverses)
             if np.linalg.norm(grad) <= tol.newton_tol:
                 break
             hess = mu * sum(np.kron(w, w.T) for w in inverses)
             step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
-            step = _herm(step)
+            step = hermitian_part(step)
 
             t = 1.0
             for _ in range(60):
@@ -275,10 +274,10 @@ def minimal_majorant(
     raw_duals = []
     for i in range(n):
         blocks = [
-            mu * np.linalg.inv(_herm(z_blocks[k] - fam_blocks[k][i]))
+            mu * np.linalg.inv(hermitian_part(z_blocks[k] - fam_blocks[k][i]))
             for k in range(alg.num_blocks)
         ]
-        raw_duals.append(AlgebraElement(alg, [_herm(b) for b in blocks]))
+        raw_duals.append(AlgebraElement(alg, [hermitian_part(b) for b in blocks]))
 
     # Restore exact dual feasibility: spread the stationarity residual evenly.
     residual = alg.identity() - sum(raw_duals[1:], raw_duals[0])

@@ -43,15 +43,19 @@ from .algebra import (
     SubAlgebra,
     Tolerances,
     DEFAULT_TOL,
-    ValidationError,
     check_geq,
     check_leq,
     defect,
     effective_cluster_tol,
+    hermitian_part,
     hermitian_sqrt,
-    phi_norm_sq,
+    idempotency_residual,
+    max_commutator,
+    phi_distance_sq,
     projection_range,
+    require_valid,
     spectral_clusters,
+    split_at_gaps,
     validate_povm,
     validate_pvm,
 )
@@ -156,9 +160,7 @@ def select_projections(
     the tuple (a_1, ..., a_n) itself is feasible, the optimum is at least
     phi(sum_i a_i^2) = 1 - defect.
     """
-    diag = validate_povm(alg, a, tol)
-    if not diag.is_valid:
-        raise ValidationError(f"input is not a valid POVM: {diag}")
+    require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
 
     # Pool of candidate rank-one items per block.  An item is one eigenvector
     # of the compressed score matrix lambda * B^H rho B of one spectral
@@ -178,9 +180,7 @@ def select_projections(
             for cluster in clusters_per_output[i].blocks[k]:
                 lam = cluster.value
                 basis = cluster.basis
-                score_mat = lam * (basis.conj().T @ rho @ basis)
-                score_mat = (score_mat + score_mat.conj().T) / 2
-                w, v = np.linalg.eigh(score_mat)
+                w, v = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
                 w = w[::-1]
                 v = v[:, ::-1]
                 for j in range(len(w)):
@@ -204,7 +204,7 @@ def select_projections(
         phi.expect(q @ e).real for q, e in zip(projections, a.elements)
     )
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
-    idem = max((q @ q - q).norm_fro() for q in projections)
+    idem = idempotency_residual(projections)
     return SelectionResult(projections, value, lp_value, ranks, comm, idem)
 
 
@@ -338,11 +338,11 @@ def orthogonalize(
         for k, d in enumerate(alg.dims):
             rows = u[k][i * d : (i + 1) * d, :]
             p = rows.conj().T @ sel.projections[i].blocks[k] @ rows
-            blocks.append((p + p.conj().T) / 2)
+            blocks.append(hermitian_part(p))
         p_elements.append(AlgebraElement(alg, blocks))
     pvm = Pvm(alg, p_elements)
 
-    error = sum(phi_norm_sq(phi, e - p) for e, p in zip(a.elements, pvm.elements))
+    error = phi_distance_sq(phi, a.elements, pvm.elements)
 
     # Certificates of the construction identities and of the three bound terms.
     modulus, _ = hermitian_sqrt(AlgebraElement(alg, [x.conj().T @ x for x in columns]))
@@ -368,10 +368,8 @@ def orthogonalize(
         phi.expect(q @ (e - e @ e)).real for q, e in zip(sel.projections, a.elements)
     )
 
-    idem = max((p @ p - p).norm_fro() for p in pvm.elements)
-
     certs = OrthCertificates(
-        pvm_idempotency=idem,
+        pvm_idempotency=idempotency_residual(pvm.elements),
         pvm_sum_residual=pvm.sum_residual(),
         midpoint_residual=midpoint,
         polar_residual=polar_residual,
@@ -407,7 +405,8 @@ def _kron_null_space(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndar
 
 
 def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: float):
-    """Unique-up-to-phase unitary T with A_i T = T B_i, or None."""
+    """Unique-up-to-phase unitary T with A_i T = T B_i, or None; the phase
+    makes the largest-magnitude entry of T real positive."""
     d = fam_a[0].shape[0]
     if fam_b[0].shape[0] != d:
         return None
@@ -419,11 +418,7 @@ def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: flo
     scale = float(np.trace(gram).real) / d
     if scale <= 0 or np.linalg.norm(gram - scale * np.eye(d)) > 1e-7 * max(scale, 1.0):
         return "degenerate"
-    t = t / math.sqrt(scale)
-    flat = t.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    t = t * (flat[idx].conjugate() / abs(flat[idx]))
-    return t
+    return _phase_fix_columns((t / math.sqrt(scale)).reshape(-1, 1)).reshape(d, d)
 
 
 def decompose_generated_algebra(
@@ -485,8 +480,7 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
             commutant_elements.append(AlgebraElement(alg, blocks))
 
         coeffs = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-        g = sum(c * y for c, y in zip(coeffs, comm))
-        g = (g + g.conj().T) / 2
+        g = hermitian_part(sum(c * y for c, y in zip(coeffs, comm)))
         gn = np.linalg.norm(g)
         if gn > 0:
             g = g / gn
@@ -496,13 +490,8 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
         v = v[:, order]
 
         # Cluster the eigenvalues of the generic element.
-        spaces = []
-        start = 0
         ctol = tol.cluster_tol * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        for j in range(1, d + 1):
-            if j == d or (w[j - 1] - w[j]) > max(ctol, 1e-7):
-                spaces.append(v[:, start:j].copy())
-                start = j
+        spaces = [basis for _, basis in split_at_gaps(w, v, max(ctol, 1e-7))]
 
         compressed = [
             [basis.conj().T @ a @ basis for a in family] for basis in spaces
@@ -597,26 +586,15 @@ def orthogonalize_symmetry_preserving(
 ) -> SymmetricOrthReport:
     """Round inside the algebra generated by the POVM, so that the output
     commutes with everything commuting with all inputs."""
-    diag = validate_povm(alg, a, tol)
-    if not diag.is_valid:
-        raise ValidationError(f"input is not a valid POVM: {diag}")
+    require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
 
     decomp = decompose_generated_algebra(list(a.elements), tol)
-    sub_povm = Povm(decomp.sub, [decomp.compress(e) for e in a.elements])
-    sub_phi = decomp.compress_state(phi)
-    inner = orthogonalize(decomp.sub, sub_phi, sub_povm, tol)
-
-    ambient_p = [decomp.embed(p) for p in inner.pvm.elements]
-    pvm = Pvm(alg, ambient_p)
+    inner = orthogonalize(decomp.sub, *decomp.restrict(phi, a.elements), tol)
+    pvm = decomp.embed_pvm(inner.pvm)
 
     eps0 = defect(phi, a)
-    error = sum(phi_norm_sq(phi, e - p) for e, p in zip(a.elements, pvm.elements))
-
-    symmetry = 0.0
-    for b in decomp.commutant:
-        for p in pvm.elements:
-            symmetry = max(symmetry, b.commutator(p).norm_fro())
-
+    error = phi_distance_sq(phi, a.elements, pvm.elements)
+    symmetry = max_commutator(decomp.commutant, pvm.elements)
     return SymmetricOrthReport(
         eps0, pvm, error, _safe_ratio(error, eps0), inner, decomp, symmetry
     )

@@ -33,11 +33,13 @@ from .algebra import (
     SubAlgebra,
     Tolerances,
     DEFAULT_TOL,
-    ValidationError,
     check_leq,
     commutator_phi_norm_sq,
+    max_commutator,
+    phi_distance_sq,
     phi_norm_sq,
     projection_range,
+    require_valid,
     validate_pvm,
 )
 from .orthogonalize import BOUND_SLACK, OrthReport, nine_defect_check, orthogonalize
@@ -61,8 +63,7 @@ def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> SubAlgebra:
     """
     alg = q.algebra
     diag = validate_pvm(alg, q, tol)
-    if not diag.is_valid:
-        raise PreconditionError(f"reference measurement fails POVM validation: {diag}")
+    require_valid(diag, "reference measurement fails POVM validation", PreconditionError)
     dims = []
     ambient_block = []
     offsets = []
@@ -121,20 +122,18 @@ def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> 
             acc = acc + (qj @ pi @ qj)
         ambient_a.append(acc)
 
-    pinch_cost = sum(
-        phi_norm_sq(phi, pi - ai) for pi, ai in zip(p.elements, ambient_a)
-    )
+    pinch_cost = phi_distance_sq(phi, p.elements, ambient_a)
     compressed_defect = 1.0 - sum(phi.expect(ai @ ai).real for ai in ambient_a)
     identity_residual = abs(eps_c - pinch_cost - compressed_defect)
     imag_residual = abs(
         sum(phi.expect(ai @ pi) for ai, pi in zip(ambient_a, p.elements)).imag
     )
 
-    compressed = Povm(comm.sub, [comm.compress(ai) for ai in ambient_a])
+    phi_restricted, compressed = comm.restrict(phi, ambient_a)
     return CompressedPovm(
         comm,
         compressed,
-        comm.compress_state(phi),
+        phi_restricted,
         eps_c,
         pinch_cost,
         compressed_defect,
@@ -169,16 +168,9 @@ def repair(phi: State, p: Pvm, q: Pvm, tol: Tolerances = DEFAULT_TOL) -> RepairR
     inner = orthogonalize(
         compressed.commutant.sub, compressed.phi_restricted, compressed.povm, tol
     )
-    repaired = Pvm(
-        p.algebra,
-        [compressed.commutant.embed(e) for e in inner.pvm.elements],
-    )
-    error = sum(
-        phi_norm_sq(phi, pi - ri) for pi, ri in zip(p.elements, repaired.elements)
-    )
-    max_comm = max(
-        ri.commutator(qj).norm_fro() for ri in repaired.elements for qj in q.elements
-    )
+    repaired = compressed.commutant.embed_pvm(inner.pvm)
+    error = phi_distance_sq(phi, p.elements, repaired.elements)
+    max_comm = max_commutator(repaired.elements, q.elements)
     return RepairReport(
         compressed.epsilon_c, inner, repaired, error, compressed.identity_residual, max_comm
     )
@@ -187,9 +179,7 @@ def repair(phi: State, p: Pvm, q: Pvm, tol: Tolerances = DEFAULT_TOL) -> RepairR
 def pvm_to_unitary(p: Pvm, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
     """Unitary of order n attached to an n-output PVM: u = sum_k w^k p_k
     with w the primitive n-th root of unity."""
-    diag = validate_pvm(p.algebra, p, tol)
-    if not diag.is_valid:
-        raise ValidationError(f"input is not a valid PVM: {diag}")
+    require_valid(validate_pvm(p.algebra, p, tol), "input is not a valid PVM")
     n = p.n
     u = p.algebra.zero()
     for k, e in enumerate(p.elements, start=1):
@@ -197,17 +187,23 @@ def pvm_to_unitary(p: Pvm, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
     return u
 
 
-def unitary_to_pvm(u: AlgebraElement, n: int, tol: Tolerances = DEFAULT_TOL) -> Pvm:
-    """Spectral PVM of a unitary of order n: p_j = (1/n) sum_k w^{-jk} u^k."""
+def _powers(u: AlgebraElement, n: int) -> list[AlgebraElement]:
+    """[1, u, u^2, ..., u^n]."""
+    powers = [u.algebra.identity()]
+    for _ in range(n):
+        powers.append(powers[-1] @ u)
+    return powers
+
+
+def _spectral(u: AlgebraElement, n: int, tol: Tolerances) -> tuple[Pvm, list[AlgebraElement]]:
+    """Spectral PVM of a unitary of order n, and the powers [1, u, ..., u^n] it sums."""
     if n < 1:
         raise PreconditionError("order must be a positive integer")
     alg = u.algebra
     unitary_residual = (u.H @ u - alg.identity()).norm_fro()
     if unitary_residual > max(tol.cert_tol, 1e-12 * alg.total_dim):
         raise PreconditionError(f"input is not unitary (residual {unitary_residual:.3e})")
-    powers = [alg.identity()]
-    for _ in range(n):
-        powers.append(powers[-1] @ u)
+    powers = _powers(u, n)
     order_residual = (powers[n] - alg.identity()).norm_fro()
     if order_residual > max(tol.cert_tol, 1e-12 * n * alg.total_dim):
         raise PreconditionError(
@@ -219,13 +215,12 @@ def unitary_to_pvm(u: AlgebraElement, n: int, tol: Tolerances = DEFAULT_TOL) -> 
         for k in range(1, n + 1):
             acc = acc + cmath.exp(-2j * cmath.pi * j * k / n) * powers[k]
         elements.append((1.0 / n) * acc)
-    return Pvm(alg, elements)
+    return Pvm(alg, elements), powers
 
 
-def roundtrip_residual(p: Pvm, u: AlgebraElement, tol: Tolerances = DEFAULT_TOL) -> float:
-    """max_i ||p_i - p'_i||_F for the spectral PVM p' of the unitary u of p."""
-    back = unitary_to_pvm(u, p.n, tol)
-    return max((a - b).norm_fro() for a, b in zip(p.elements, back.elements))
+def unitary_to_pvm(u: AlgebraElement, n: int, tol: Tolerances = DEFAULT_TOL) -> Pvm:
+    """Spectral PVM of a unitary of order n: p_j = (1/n) sum_k w^{-jk} u^k."""
+    return _spectral(u, n, tol)[0]
 
 
 @dataclass
@@ -235,9 +230,16 @@ class UnitaryRepairReport:
     rhs_error: float             # (1/m) sum_j ||v^j - v'^j||_phi^2
     commutator_norm: float       # ||[v', u]||_F
     pvm_report: RepairReport
+    spectral: tuple[Pvm, Pvm]    # spectral PVMs of v and of u
+
+    def roundtrip_residual(self, p: Pvm, q: Pvm) -> float:
+        """max_i ||x_i - x'_i||_F over x = p and x = q, where x' is the
+        spectral PVM of the unitary of x (v for p, u for q)."""
+        back = self.spectral[0].elements + self.spectral[1].elements
+        return max((a - b).norm_fro() for a, b in zip(p.elements + q.elements, back))
 
     def checks(self, roundtrip: float) -> list[BoundCheck]:
-        """Bounds of the unitary repair; ``roundtrip`` is the largest
+        """Bounds of the unitary repair; ``roundtrip`` is the
         ``roundtrip_residual`` of the input PVMs."""
         return [
             check_leq("roundtrip_residual", roundtrip, ROUNDTRIP_TOL),
@@ -256,27 +258,16 @@ def repair_unitary_pair(
 ) -> UnitaryRepairReport:
     """Given unitaries u^n = 1 and v^m = 1, produce v' commuting with u with
     (1/m) sum_j ||v^j - v'^j||_phi^2 <= 10 * (1/nm) sum_ij ||[u^i, v^j]||_phi^2."""
-    q = unitary_to_pvm(u, n, tol)
-    p = unitary_to_pvm(v, m, tol)
+    q, u_powers = _spectral(u, n, tol)
+    p, v_powers = _spectral(v, m, tol)
     report = repair(phi, p, q, tol)
     v_repaired = pvm_to_unitary(report.pvm_repaired, tol)
-
-    u_powers = [u.algebra.identity()]
-    for _ in range(n):
-        u_powers.append(u_powers[-1] @ u)
-    v_powers = [v.algebra.identity()]
-    vr_powers = [v.algebra.identity()]
-    for _ in range(m):
-        v_powers.append(v_powers[-1] @ v)
-        vr_powers.append(vr_powers[-1] @ v_repaired)
 
     lhs = sum(
         phi_norm_sq(phi, u_powers[i].commutator(v_powers[j]))
         for i in range(1, n + 1)
         for j in range(1, m + 1)
     ) / (n * m)
-    rhs_error = sum(
-        phi_norm_sq(phi, v_powers[j] - vr_powers[j]) for j in range(1, m + 1)
-    ) / m
+    rhs_error = phi_distance_sq(phi, v_powers[1:], _powers(v_repaired, m)[1:]) / m
     comm_norm = v_repaired.commutator(u).norm_fro()
-    return UnitaryRepairReport(v_repaired, lhs, rhs_error, comm_norm, report)
+    return UnitaryRepairReport(v_repaired, lhs, rhs_error, comm_norm, report, (p, q))

@@ -89,6 +89,17 @@ class TestCompressPovm:
         phi = random_density(alg, rng)
         assert comm.compress_state(phi).total_trace() == pytest.approx(1.0, abs=1e-12)
 
+    def test_restrict_then_embed_pvm_returns_q(self):
+        rng = rng_for(22)
+        alg = BlockAlgebra((4, 3))
+        q = random_pvm(alg, 3, rng)
+        comm = commutant_of_pvm(q)
+        phi_sub, q_sub = comm.restrict(random_density(alg, rng), q.elements)
+        assert phi_sub.total_trace() == pytest.approx(1.0, abs=1e-12)
+        back = comm.embed_pvm(q_sub)
+        assert back.algebra.dims == alg.dims
+        assert max((a - b).norm_fro() for a, b in zip(back.elements, q.elements)) <= 1e-12
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_exact_identity_random_pairs(self, seed):
@@ -302,3 +313,32 @@ class TestRepairUnitaryPair:
         assert top_terms <= 1e-26
         rep = repair_unitary_pair(trace_state_m2, u, n, v, m)
         assert rep.lhs * n * m == pytest.approx(total, abs=1e-12)
+
+
+class TestUnitaryRepairSpectra:
+    """The unitary form keeps the spectral PVMs it builds and reuses them."""
+
+    @pytest.fixture
+    def pair(self):
+        inst = gen_instance("rotated_pvm_pair", 5, {"dims": [6], "n_p": 3, "n_q": 4})
+        p, q = inst.pvm_pair
+        return inst.state, p, q, pvm_to_unitary(p), pvm_to_unitary(q)
+
+    def test_spectral_pvms_are_those_of_v_and_u(self, pair):
+        phi, p, q, v, u = pair
+        rep = repair_unitary_pair(phi, u, q.n, v, p.n)
+        for kept, fresh in zip(rep.spectral, (unitary_to_pvm(v, p.n), unitary_to_pvm(u, q.n))):
+            assert kept.n == fresh.n
+            for a, b in zip(kept.elements, fresh.elements):
+                assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+
+    def test_roundtrip_residual_matches_a_fresh_round_trip(self, pair):
+        phi, p, q, v, u = pair
+        rep = repair_unitary_pair(phi, u, q.n, v, p.n)
+        expected = max(
+            (a - b).norm_fro()
+            for x in (p, q)
+            for a, b in zip(x.elements, unitary_to_pvm(pvm_to_unitary(x), x.n).elements)
+        )
+        assert rep.roundtrip_residual(p, q) == expected
+        assert expected <= 1e-10

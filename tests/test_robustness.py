@@ -47,6 +47,36 @@ class TestMalformedValues:
         assert "'n'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["gap_tol=nan", "gap_tol=inf", "cert_tol=inf"])
+    def test_tolerance_not_finite(self, majorant_report, capsys, flag):
+        inst_path = majorant_report.with_name("fun.json")
+        assert main(["majorant", "--in", str(inst_path), "--tol", flag]) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,params,named", [
+        ("linfty2_family", ["c=2"], "c must"),
+        ("paper_counterexample", ["delta=0.5"], "delta must"),
+        ("rotated_pvm_pair", ["canonical=true", "dims=3"], "canonical pair"),
+        ("random_functionals", ["n=0"], "n must"),
+        ("random_povm_near_pvm", ["dim=8"], "no parameter ['dim']; its keys are ['dims', 'n',"),
+        ("random_functionals", ["theta=0.3"], "no parameter ['theta']; its keys are ['dims', 'n', 'diagonal']"),
+    ])
+    def test_gen_param_mistake(self, tmp_path, capsys, kind, params, named):
+        out = tmp_path / "g.json"
+        argv = ["gen", "--kind", kind, "--out", str(out)]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_takes_no_tol(self, tmp_path):
+        out = tmp_path / "g.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "linfty2_family", "--out", str(out), "--tol", "gap_tol=1e-3"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestVerifyRejects:
     def test_verify_report_is_not_verifiable(self, majorant_report, tmp_path):
