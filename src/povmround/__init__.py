@@ -13,7 +13,6 @@ Core entry points:
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
-    CenterValue,
     Cluster,
     Povm,
     PovmRoundError,
@@ -26,7 +25,6 @@ from .algebra import (
     SubAlgebra,
     Tolerances,
     ValidationError,
-    center_valued_trace,
     commutator_phi_norm_sq,
     defect,
     phi_norm_sq,
@@ -38,7 +36,6 @@ from .algebra import (
 from .majorant import (
     FunctionalFamily,
     MajorantSolution,
-    commuting_majorant_oracle,
     minimal_majorant,
     verify_majorant_certificate,
 )
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "BlockAlgebra",
-    "CenterValue",
     "Cluster",
     "CompressedPovm",
     "FunctionalFamily",
@@ -92,10 +88,8 @@ __all__ = [
     "Tolerances",
     "UnitaryRepairReport",
     "ValidationError",
-    "center_valued_trace",
     "commutation_defect",
     "commutator_phi_norm_sq",
-    "commuting_majorant_oracle",
     "complete_polar",
     "compress_povm",
     "decompose_generated_algebra",

@@ -6,11 +6,10 @@ square complex blocks, states are tuples of PSD density blocks with unit
 total trace, and a POVM is a tuple of positive elements summing to the
 identity.  This module holds the data model plus the small set of numerical
 primitives the rounding/repair/majorant solvers are built from: validation,
-the state seminorm, the orthogonality defect, the block-normalized
-center-valued trace, and eigenvalue clustering.  ``BoundCheck`` is the one
-record every solver report uses for its certified bounds, and
-``SubAlgebra`` the one sub-algebra type (repair's commutant, symmetry
-mode's generated algebra).
+the state seminorm, the orthogonality defect, and eigenvalue clustering.
+``BoundCheck`` is the one record every solver report uses for its certified
+bounds, and ``SubAlgebra`` the one sub-algebra type (repair's commutant,
+symmetry mode's generated algebra).
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ class Tolerances:
                 raise ValidationError(f"{name} must be finite and positive")
         if not (0.0 < self.mu_shrink < 1.0):
             raise ValidationError("mu_shrink must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be positive")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValidationError("max_iters must be a positive integer")
 
     def replace(self, **kwargs) -> "Tolerances":
         unknown = set(kwargs) - {f.name for f in fields(self)}
@@ -359,15 +358,6 @@ class Povm:
             float(np.abs(b - np.eye(d)).max()) for b, d in zip(self.sum().blocks, self.algebra.dims)
         )
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, dims={self.algebra.dims})"
 
@@ -460,27 +450,6 @@ def commutator_phi_norm_sq(phi: State, x: AlgebraElement, y: AlgebraElement) -> 
 
 
 @dataclass
-class CenterValue:
-    """A central element, one scalar per block."""
-
-    values: tuple[complex, ...]
-
-    def as_element(self, alg: BlockAlgebra) -> AlgebraElement:
-        if len(self.values) != alg.num_blocks:
-            raise ShapeMismatchError("center value length does not match the algebra")
-        return AlgebraElement(
-            alg, [c * np.eye(d, dtype=complex) for c, d in zip(self.values, alg.dims)]
-        )
-
-
-def center_valued_trace(alg: BlockAlgebra, x: AlgebraElement) -> CenterValue:
-    """Conditional expectation onto the center: blockwise normalized trace."""
-    if x.algebra.dims != alg.dims:
-        raise ShapeMismatchError("element does not match the algebra")
-    return CenterValue(tuple(complex(np.trace(b)) / d for b, d in zip(x.blocks, alg.dims)))
-
-
-@dataclass
 class Cluster:
     """One clustered eigenspace: representative eigenvalue and an orthonormal basis."""
 
@@ -497,15 +466,6 @@ class SpectralClusters:
     """Per-block eigenvalue clusters of a Hermitian element, values descending."""
 
     blocks: tuple[tuple[Cluster, ...], ...]
-
-    def reconstruct(self, alg: BlockAlgebra) -> AlgebraElement:
-        mats = []
-        for d, clusters in zip(alg.dims, self.blocks):
-            m = np.zeros((d, d), dtype=complex)
-            for c in clusters:
-                m += c.value * (c.basis @ c.basis.conj().T)
-            mats.append(m)
-        return AlgebraElement(alg, mats)
 
 
 def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -39,6 +39,32 @@ KIND_KEYS = {
 KINDS = tuple(KIND_KEYS)
 
 
+def _parse_flag(val: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; anything else is a ValueError."""
+    key = val.lower()
+    if key in ("1", "true", "yes"):
+        return True
+    if key in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a flag: {val!r}")
+
+
+# How a ``key=val`` string of the CLI's ``gen --param`` becomes each key's value.
+PARAM_PARSERS = {
+    "dims": lambda val: [int(x) for x in val.replace("+", ",").split(",")],
+    "n": int,
+    "n_p": int,
+    "n_q": int,
+    "state_rank": int,
+    "delta": float,
+    "theta": float,
+    "c": float,
+    "canonical": _parse_flag,
+    "diagonal": _parse_flag,
+    "single_block": _parse_flag,
+}
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
@@ -244,17 +270,20 @@ def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
         _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
         _require(1 <= n <= 16, "n must lie in 1..16")
         _require(0.0 <= delta <= 0.5, "delta must lie in [0, 0.5]")
+        rank = params.get("state_rank")
+        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
         alg = BlockAlgebra(dims)
         povm = random_povm_near_pvm(alg, n, delta, rng)
-        rank = params.get("state_rank")
         phi = random_state(alg, rng, rank=rank, single_block=bool(params.get("single_block", False)))
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
     if kind == "random_state":
         dims = tuple(int(x) for x in params.get("dims", (4,)))
         _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+        rank = params.get("state_rank")
+        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
         alg = BlockAlgebra(dims)
-        phi = random_state(alg, rng, rank=params.get("state_rank"),
+        phi = random_state(alg, rng, rank=rank,
                            single_block=bool(params.get("single_block", False)))
         return Instance(alg, state=phi, metadata=meta)
 
@@ -275,6 +304,8 @@ def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
         _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
         n_p = int(params.get("n_p", 2))
         n_q = int(params.get("n_q", 2))
+        _require(1 <= n_p <= 16, "n_p must lie in 1..16")
+        _require(1 <= n_q <= 16, "n_q must lie in 1..16")
         alg, phi, p, q = rotated_pvm_pair(
             theta, dims, n_p=n_p, n_q=n_q, rng=rng, canonical=canonical
         )

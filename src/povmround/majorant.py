@@ -285,53 +285,14 @@ def minimal_majorant(
     return replace(majorant_certificate(f, z, duals), mu_final=mu, newton_iterations=total_iters)
 
 
-@dataclass
-class CertificateDiagnostics:
-    checks: list[BoundCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-
 def verify_majorant_certificate(
     alg: BlockAlgebra,
     f: FunctionalFamily,
     sol: MajorantSolution,
     tol: Tolerances = DEFAULT_TOL,
-) -> CertificateDiagnostics:
+) -> list[BoundCheck]:
     """Recompute every optimality certificate of a solution from its z and t alone."""
     if sol.majorant.algebra.dims != alg.dims:
         raise PreconditionError("solution does not match the algebra")
-    return CertificateDiagnostics(majorant_certificate(f, sol.majorant, sol.dual_povm).checks(f, tol))
+    return majorant_certificate(f, sol.majorant, sol.dual_povm).checks(f, tol)
 
-
-def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> MajorantSolution:
-    """Exact solution for entrywise-diagonal families: z is the coordinatewise
-    maximum and t_i indicates where functional i attains it (ties to the
-    lowest index).  Independent of the barrier solver; used as a test oracle."""
-    if f.algebra.dims != alg.dims:
-        raise PreconditionError("functional family does not match the algebra")
-    n = f.n
-    for i, e in enumerate(f.elements):
-        for b in e.blocks:
-            if np.abs(b - np.diag(np.diagonal(b))).max() > 1e-12 * max(1.0, np.abs(b).max()):
-                raise PreconditionError(f"functional {i} is not diagonal")
-
-    z_blocks = []
-    t_blocks = [[] for _ in range(n)]
-    for k, d in enumerate(alg.dims):
-        table = np.array(
-            [np.real(np.diagonal(f.elements[i].blocks[k])) for i in range(n)]
-        )
-        zmax = table.max(axis=0)
-        winner = table.argmax(axis=0)  # argmax returns the lowest winning index
-        z_blocks.append(np.diag(zmax.astype(complex)))
-        for i in range(n):
-            t_blocks[i].append(np.diag((winner == i).astype(complex)))
-
-    z = AlgebraElement(alg, z_blocks)
-    return majorant_certificate(f, z, [AlgebraElement(alg, blocks) for blocks in t_blocks])

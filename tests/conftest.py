@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from povmround import AlgebraElement, BlockAlgebra, State
+from povmround import (
+    AlgebraElement,
+    BlockAlgebra,
+    FunctionalFamily,
+    MajorantSolution,
+    PreconditionError,
+    State,
+)
+from povmround.majorant import majorant_certificate
 
 
 def rng_for(seed):
@@ -26,6 +34,34 @@ def random_density(alg, rng, rank=None):
         densities.append(g @ g.conj().T)
     total = sum(np.trace(m).real for m in densities)
     return State(alg, [m / total for m in densities])
+
+
+def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> MajorantSolution:
+    """Exact solution for entrywise-diagonal families: z is the coordinatewise
+    maximum and t_i indicates where functional i attains it (ties to the
+    lowest index).  Independent of the barrier solver; used as a test oracle."""
+    if f.algebra.dims != alg.dims:
+        raise PreconditionError("functional family does not match the algebra")
+    n = f.n
+    for i, e in enumerate(f.elements):
+        for b in e.blocks:
+            if np.abs(b - np.diag(np.diagonal(b))).max() > 1e-12 * max(1.0, np.abs(b).max()):
+                raise PreconditionError(f"functional {i} is not diagonal")
+
+    z_blocks = []
+    t_blocks = [[] for _ in range(n)]
+    for k, d in enumerate(alg.dims):
+        table = np.array(
+            [np.real(np.diagonal(f.elements[i].blocks[k])) for i in range(n)]
+        )
+        zmax = table.max(axis=0)
+        winner = table.argmax(axis=0)  # argmax returns the lowest winning index
+        z_blocks.append(np.diag(zmax.astype(complex)))
+        for i in range(n):
+            t_blocks[i].append(np.diag((winner == i).astype(complex)))
+
+    z = AlgebraElement(alg, z_blocks)
+    return majorant_certificate(f, z, [AlgebraElement(alg, blocks) for blocks in t_blocks])
 
 
 @pytest.fixture

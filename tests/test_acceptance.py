@@ -24,7 +24,6 @@ from povmround import (
     pvm_to_unitary,
     repair,
     repair_unitary_pair,
-    commuting_majorant_oracle,
     select_projections,
     unitary_to_pvm,
     validate_povm,
@@ -37,6 +36,8 @@ from povmround.generators import (
     random_pvm,
     rotated_pvm_pair,
 )
+
+from conftest import commuting_majorant_oracle
 
 
 def report(criterion, passed, detail):

@@ -1,4 +1,4 @@
-"""Core data model: validators, state seminorm, defect, center trace, clusters."""
+"""Core data model: validators, state seminorm, defect, clusters."""
 
 import math
 
@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmround import (
+    AlgebraElement,
     BlockAlgebra,
-    CenterValue,
     Povm,
     Pvm,
     ShapeMismatchError,
     Tolerances,
     ValidationError,
-    center_valued_trace,
     commutator_phi_norm_sq,
     defect,
     phi_norm_sq,
@@ -25,6 +24,17 @@ from povmround import (
 from povmround.generators import counterexample_triple, linfty2_family
 
 from conftest import random_density, random_element, rng_for
+
+
+def reconstruct(sc, alg):
+    """The Hermitian element sum_c value_c * basis_c basis_c^H of spectral clusters."""
+    mats = []
+    for d, clusters in zip(alg.dims, sc.blocks):
+        m = np.zeros((d, d), dtype=complex)
+        for c in clusters:
+            m += c.value * (c.basis @ c.basis.conj().T)
+        mats.append(m)
+    return AlgebraElement(alg, mats)
 
 
 class TestBlockAlgebra:
@@ -149,40 +159,6 @@ class TestDefect:
         assert abs(defect(phi, p)) <= n * 1e-9
 
 
-class TestCenterValuedTrace:
-    def test_identity(self):
-        alg = BlockAlgebra((2, 3))
-        assert center_valued_trace(alg, alg.identity()).values == (1.0, 1.0)
-
-    def test_projection(self, m2):
-        cv = center_valued_trace(m2, m2.diagonal([[1, 0]]))
-        assert cv.values == (0.5,)
-
-    def test_mixed_blocks(self):
-        alg = BlockAlgebra((2, 3))
-        x = alg.element([np.diag([1.0, 0.0]), np.eye(3)])
-        assert center_valued_trace(alg, x).values == (0.5, 1.0)
-
-    def test_as_element_roundtrip(self):
-        alg = BlockAlgebra((2, 3))
-        elem = CenterValue((0.5, 2.0)).as_element(alg)
-        assert np.allclose(elem.blocks[0], 0.5 * np.eye(2))
-        assert np.allclose(elem.blocks[1], 2.0 * np.eye(3))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_trace_property(self, seed):
-        rng = rng_for(seed)
-        alg = BlockAlgebra((int(rng.integers(1, 5)), int(rng.integers(1, 4))))
-        x = random_element(alg, rng)
-        y = random_element(alg, rng)
-        exy = center_valued_trace(alg, x @ y).values
-        eyx = center_valued_trace(alg, y @ x).values
-        assert all(abs(a - b) <= 1e-10 for a, b in zip(exy, eyx))
-        ident = center_valued_trace(alg, alg.identity()).values
-        assert all(abs(v - 1.0) <= 1e-14 for v in ident)
-
-
 class TestSpectralClusters:
     def test_identity_single_cluster(self):
         alg = BlockAlgebra((3,))
@@ -217,7 +193,7 @@ class TestSpectralClusters:
         alg = BlockAlgebra((int(rng.integers(1, 7)),))
         h = random_element(alg, rng, herm=True)
         sc = spectral_clusters(h, 1e-8)
-        diff = sc.reconstruct(alg) - h
+        diff = reconstruct(sc, alg) - h
         bound = max(1e-8 * alg.dims[0], 1e-8)
         assert diff.norm_fro() <= bound
         for clusters in sc.blocks:
@@ -277,3 +253,8 @@ class TestTolerances:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             Tolerances().replace(bogus=1.0)
+
+    @pytest.mark.parametrize("max_iters", [2.5, "3"])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValidationError, match="max_iters"):
+            Tolerances(max_iters=max_iters)

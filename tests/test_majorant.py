@@ -12,13 +12,12 @@ from povmround import (
     PreconditionError,
     Tolerances,
     ValidationError,
-    commuting_majorant_oracle,
     minimal_majorant,
     verify_majorant_certificate,
 )
 from povmround.generators import gen_instance
 
-from conftest import rng_for
+from conftest import commuting_majorant_oracle, rng_for
 
 # Two rank-one projections at 45 degrees.  The dual problem maximizes
 # 1 + tr((P1 - P2) t1) over 0 <= t1 <= 1, attained at the positive spectral
@@ -173,7 +172,7 @@ class TestVerifyCertificate:
             inst = gen_instance("random_functionals", seed, {"dims": [2, 2], "n": 3})
             sol = minimal_majorant(inst.algebra, inst.functionals)
             diag = verify_majorant_certificate(inst.algebra, inst.functionals, sol)
-            assert diag.all_passed, diag.failed_names()
+            assert all(c.passed for c in diag), [c.name for c in diag if not c.passed]
 
     def test_shrunk_majorant_fails_feasibility(self):
         alg = BlockAlgebra((2,))
@@ -181,7 +180,7 @@ class TestVerifyCertificate:
         sol = minimal_majorant(alg, fam)
         sol.majorant = 0.5 * sol.majorant
         diag = verify_majorant_certificate(alg, fam, sol)
-        assert "feasibility" in diag.failed_names()
+        assert "feasibility" in [c.name for c in diag if not c.passed]
 
     def test_halved_duals_fail_povm_sum(self):
         alg = BlockAlgebra((2,))
@@ -189,8 +188,8 @@ class TestVerifyCertificate:
         sol = minimal_majorant(alg, fam)
         sol.dual_povm = [0.5 * t for t in sol.dual_povm]
         diag = verify_majorant_certificate(alg, fam, sol)
-        assert "povm_sum" in diag.failed_names()
-        failing = [c for c in diag.checks if c.name == "povm_sum"][0]
+        assert "povm_sum" in [c.name for c in diag if not c.passed]
+        failing = [c for c in diag if c.name == "povm_sum"][0]
         assert failing.value == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
 
 

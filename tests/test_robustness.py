@@ -1,5 +1,6 @@
 """Malformed CLI input and unwritable output exit 2, verify checks a report's
-stored claims, and the block decomposition has its own retry budget."""
+stored claims, gen builds no report, sweep's draws respect --max-dim, and the
+block decomposition has its own retry budget."""
 
 import importlib
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from povmround import BlockAlgebra, SolverError, Tolerances, decompose_generated_algebra
-from povmround.cli import main
+from povmround.cli import _sweep_config, main
 from povmround.io import dumps
 
 orthogonalize_module = importlib.import_module("povmround.orthogonalize")
@@ -60,6 +61,10 @@ class TestMalformedValues:
         ("random_functionals", ["n=0"], "n must"),
         ("random_povm_near_pvm", ["dim=8"], "no parameter ['dim']; its keys are ['dims', 'n',"),
         ("random_functionals", ["theta=0.3"], "no parameter ['theta']; its keys are ['dims', 'n', 'diagonal']"),
+        ("random_povm_near_pvm", ["state_rank=0"], "state_rank must"),
+        ("random_povm_near_pvm", ["state_rank=-3"], "state_rank must"),
+        ("rotated_pvm_pair", ["n_p=17"], "n_p must"),
+        ("random_functionals", ["diagonal=maybe"], "'diagonal'"),
     ])
     def test_gen_param_mistake(self, tmp_path, capsys, kind, params, named):
         out = tmp_path / "g.json"
@@ -76,6 +81,33 @@ class TestMalformedValues:
             main(["gen", "--kind", "linfty2_family", "--out", str(out), "--tol", "gap_tol=1e-3"])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--count", "0"], "--count"),
+        (["--max-dim", "0"], "--max-dim"),
+        (["--max-outputs", "1"], "--max-outputs"),
+        (["--max-outputs", "17"], "--max-outputs"),
+    ])
+    def test_sweep_flag_out_of_range(self, capsys, flags, named):
+        assert main(["sweep", "--count", "1", *flags]) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_gen_writes_no_report(tmp_path, monkeypatch):
+    def no_digest(path):
+        raise AssertionError("gen read back its own output")
+
+    monkeypatch.setattr("povmround.cli.file_digest", no_digest)
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", "linfty2_family", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_sweep_draws_stay_within_max_dim():
+    for max_dim in range(1, 9):
+        for seed in range(200):
+            assert sum(_sweep_config(seed, max_dim, 5)[0]) <= max_dim, (seed, max_dim)
 
 
 class TestVerifyRejects:
