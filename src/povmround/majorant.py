@@ -197,19 +197,36 @@ def _barrier(z, fam, mu):
     return float(np.trace(z).real) - mu * sum(_chol_logdet(z - a) for a in fam)
 
 
+def _assemble_hessian(inverses, mu, out, term):
+    """Write mu * sum_i kron(w_i, w_i^T) into out, with term as scratch; both
+    are (d^2, d^2).  Each term is np.kron's own product, summed in the same
+    order, so the result is bitwise that of the allocating expression."""
+    d = inverses[0].shape[0]
+    first, *rest = inverses
+    np.multiply(first[:, None, :, None], first.T[None, :, None, :], out=out.reshape(d, d, d, d))
+    for w in rest:
+        np.multiply(w[:, None, :, None], w.T[None, :, None, :], out=term.reshape(d, d, d, d))
+        out += term
+    out *= mu
+    return out
+
+
 def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
     """Damped Newton minimization of the barrier at fixed mu, per block."""
     iters = 0
     for k, z in enumerate(z_blocks):
         d = z.shape[0]
         eye = np.eye(d)
+        # Hessian and scratch buffers, reused by every Newton step of the block.
+        hess = np.empty((d * d, d * d), dtype=complex)
+        term = np.empty_like(hess)
         current = _barrier(z, fam_blocks[k], mu)
         for _ in range(tol.max_iters):
             inverses = [np.linalg.inv(hermitian_part(z - a)) for a in fam_blocks[k]]
             grad = eye - mu * sum(inverses)
             if np.linalg.norm(grad) <= tol.newton_tol:
                 break
-            hess = mu * sum(np.kron(w, w.T) for w in inverses)
+            _assemble_hessian(inverses, mu, hess, term)
             step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
             step = hermitian_part(step)
 

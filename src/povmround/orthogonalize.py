@@ -64,6 +64,10 @@ _GENERIC_SEED = 0x5EED
 # Fresh generic draws tried before the block decomposition gives up; every
 # decomposition in the tests and the benchmark succeeds on the first draw.
 DECOMPOSE_ATTEMPTS = 8
+# Relative eigenvalue gap at which the null-space solve splits the spectrum of
+# its generic combination.  Eigenvalues closer than this share a run and only
+# add unknowns; runs this far apart keep eigenvector errors near 1e-12.
+_NULL_SPLIT_GAP = 1e-4
 
 # Thresholds of the certified rounding bounds (repair reuses BOUND_SLACK).
 BOUND_SLACK = 1e-7           # additive slack on the 9x and 10x error bounds
@@ -391,17 +395,69 @@ class GeneratedAlgebra(SubAlgebra):
     residual: float                     # max_i block-diagonalization residual
 
 
-def _kron_null_space(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndarray]:
-    """Basis of {y : a y = y b for every pair (a, b)}: the null space of the
-    stacked row-major operators kron(a, 1) - kron(1, b^T), cut at singular
-    values max(rank_tol * smax, floor)."""
-    d = pairs[0][0].shape[0]
-    eye = np.eye(d)
-    _, s, vh = np.linalg.svd(np.vstack([np.kron(a, eye) - np.kron(eye, b.T) for a, b in pairs]))
-    smax = float(s[0]) if s.size and s[0] > 0 else 1.0
-    cutoff = max(rank_tol * smax, floor)
-    # Null vectors of A = U S V^H are the conjugated rows of V^H at zero s.
-    return [vh[j].conj().reshape(d, d) for j in range(len(s)) if s[j] <= cutoff]
+def _generic_spectrum(family: list[np.ndarray], coeffs: np.ndarray):
+    """Eigenvalues (descending) and eigenvectors of sum_i c_i f_i."""
+    w, v = np.linalg.eigh(hermitian_part(sum(c * f for c, f in zip(coeffs, family))))
+    return w[::-1], v[:, ::-1]
+
+
+def _restricted_null_space(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of {y : a y = y b for every Hermitian pair
+    (a, b)}, cut at singular values max(rank_tol * scale, floor) with
+    scale = sqrt(sum_i (||a_i||_2 + ||b_i||_2)^2), a bound on the norm of the
+    stacked operator y -> (a_i y - y b_i)_i that does not depend on how many
+    of its directions the restriction below keeps.
+
+    Every such y also satisfies g_a y = y g_b for one seeded generic real
+    combination g_a = sum_i c_i a_i, g_b = sum_i c_i b_i, so in their
+    eigenbases y maps each eigenspace of g_b into the eigenspace of g_a with
+    the same eigenvalue.  The unknowns are therefore only the blocks between
+    matched eigenvalue runs, sum_j p_j q_j of them (d for a simple spectrum),
+    and every pair's constraint is imposed on those alone.  Runs split at
+    relative gaps above _NULL_SPLIT_GAP; closer eigenvalues only add unknowns.
+    """
+    fam_a = [a for a, _ in pairs]
+    fam_b = [b for _, b in pairs]
+    coeffs = np.random.default_rng(_GENERIC_SEED).standard_normal(len(pairs))
+    wa, ua = _generic_spectrum(fam_a, coeffs)
+    wb, ub = _generic_spectrum(fam_b, coeffs)
+    gap = _NULL_SPLIT_GAP * float(max(np.abs(wa).max(), np.abs(wb).max()))
+    # Runs whose value intervals [w[-1], w[0]] come within gap of each other match.
+    matched = [
+        (u, v)
+        for va, u in split_at_gaps(wa, ua, gap)
+        for vb, v in split_at_gaps(wb, ub, gap)
+        if max(vb[-1] - va[0], va[-1] - vb[0]) <= gap
+    ]
+    if not matched:
+        return []
+
+    # Column (r, s) of run pair (u, v) stacks a_i u_r v_s^H - u_r v_s^H b_i over i,
+    # row-major, with u_r v_s^H b_i = u_r (b_i^H v_s)^H.
+    stack_a = np.stack(fam_a)
+    stack_bh = np.stack(fam_b).conj().transpose(0, 2, 1)
+    columns = []
+    for u, v in matched:
+        left = (stack_a @ u)[:, :, None, :, None] * v.conj()[None, None, :, None, :]
+        right = u[None, :, None, :, None] * (stack_bh @ v).conj()[:, None, :, None, :]
+        columns.append((left - right).reshape(-1, u.shape[1] * v.shape[1]))
+    _, s, vh = np.linalg.svd(np.hstack(columns), full_matrices=False)
+
+    scale = math.sqrt(
+        sum((np.linalg.norm(a, 2) + np.linalg.norm(b, 2)) ** 2 for a, b in pairs)
+    )
+    cutoff = max(rank_tol * scale, floor)
+    # A null vector of the restricted operator holds the blocks x_j of
+    # y = sum_j u_j x_j v_j^H, which keeps its Frobenius norm.
+    splits = np.cumsum([u.shape[1] * v.shape[1] for u, v in matched])[:-1]
+    null = []
+    for j in np.flatnonzero(s <= cutoff):
+        pieces = np.split(vh[j].conj(), splits)
+        null.append(sum(
+            u @ x.reshape(u.shape[1], v.shape[1]) @ v.conj().T
+            for (u, v), x in zip(matched, pieces)
+        ))
+    return null
 
 
 def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: float):
@@ -410,7 +466,7 @@ def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: flo
     d = fam_a[0].shape[0]
     if fam_b[0].shape[0] != d:
         return None
-    null = _kron_null_space(list(zip(fam_a, fam_b)), rank_tol, floor=1e-11)
+    null = _restricted_null_space(list(zip(fam_a, fam_b)), rank_tol, floor=1e-11)
     if len(null) != 1:
         return None if not null else "degenerate"
     t = null[0]
@@ -427,11 +483,13 @@ def decompose_generated_algebra(
     """Identify the algebra generated by a Hermitian family with a direct sum
     of full matrix blocks carrying multiplicities.
 
-    The commutant is computed as the null space of the stacked commutator
-    operators; the eigenspaces of a seeded generic Hermitian commutant
-    element split the space, equivalent pieces are detected and aligned by
-    their (unique) intertwiners, and the result is verified against the
-    conjugated family.  Degenerate draws are retried with fresh seeds, at most
+    The commutant, and each intertwiner between two pieces, is the null
+    space of the commutator constraints restricted to the blocks between
+    matched eigenspaces of a seeded generic combination of the family
+    (``_restricted_null_space``); no d^2 x d^2 operator is formed.  The
+    eigenspaces of a seeded generic Hermitian commutant element split the
+    space, equivalent pieces are detected and aligned by their (unique)
+    intertwiners, and the result is verified against the conjugated family.  Degenerate draws are retried with fresh seeds, at most
     ``DECOMPOSE_ATTEMPTS`` times.
     """
     if not elements:
@@ -472,7 +530,7 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
 
     for k, d in enumerate(alg.dims):
         family = [h.blocks[k] for h in herm]
-        comm = _kron_null_space([(a, a) for a in family], tol.rank_tol)
+        comm = _restricted_null_space([(a, a) for a in family], tol.rank_tol)
         for y in comm:
             blocks = [np.zeros((dd, dd), dtype=complex) for dd in alg.dims]
             nrm = np.linalg.norm(y)

@@ -64,6 +64,20 @@ def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> Majoran
     return majorant_certificate(f, z, [AlgebraElement(alg, blocks) for blocks in t_blocks])
 
 
+def kron_null_space_oracle(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndarray]:
+    """Basis of {y : a y = y b for every pair (a, b)}: the null space of the
+    stacked row-major operators kron(a, 1) - kron(1, b^T), cut at singular
+    values max(rank_tol * smax, floor).  The dense O(n d^6) solve the
+    restricted one in orthogonalize.py replaced; used as a test oracle."""
+    d = pairs[0][0].shape[0]
+    eye = np.eye(d)
+    _, s, vh = np.linalg.svd(np.vstack([np.kron(a, eye) - np.kron(eye, b.T) for a, b in pairs]))
+    smax = float(s[0]) if s.size and s[0] > 0 else 1.0
+    cutoff = max(rank_tol * smax, floor)
+    # Null vectors of A = U S V^H are the conjugated rows of V^H at zero s.
+    return [vh[j].conj().reshape(d, d) for j in range(len(s)) if s[j] <= cutoff]
+
+
 @pytest.fixture
 def m2():
     return BlockAlgebra((2,))

@@ -15,7 +15,8 @@ from povmround import (
     minimal_majorant,
     verify_majorant_certificate,
 )
-from povmround.generators import gen_instance
+from povmround.generators import gen_instance, random_functionals
+from povmround.majorant import _assemble_hessian
 
 from conftest import commuting_majorant_oracle, rng_for
 
@@ -235,3 +236,34 @@ class TestCommutingOracle:
             scale = fam.scale()
             assert abs(sol.primal - oracle.primal) <= 1e-6 * scale
             assert (sol.majorant - oracle.majorant).norm_fro() <= 1e-4
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 16])
+def test_hessian_assembly_is_bitwise_kron(d):
+    # The in-place Hessian must equal the allocating kron expression exactly,
+    # which keeps every Newton iterate, and so every majorant report, unchanged.
+    rng = rng_for(d)
+    ws = []
+    for _ in range(3):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ws.append(np.linalg.inv(g @ g.conj().T + np.eye(d)))
+    mu = 0.37
+    out = np.empty((d * d, d * d), dtype=complex)
+    _assemble_hessian(ws, mu, out, np.empty_like(out))
+    assert np.array_equal(out, mu * sum(np.kron(w, w.T) for w in ws))
+
+
+def test_majorant_makes_no_kron_call(monkeypatch):
+    alg = BlockAlgebra((8,))
+    f = random_functionals(alg, 3, rng_for(8))
+    calls = []
+    kron = np.kron
+
+    def counting_kron(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    sol = minimal_majorant(alg, f)
+    assert all(c.passed for c in sol.checks(f))
+    assert calls == []

@@ -24,12 +24,15 @@ from povmround import (
 from povmround.generators import (
     counterexample_triple,
     gen_instance,
+    haar_unitary,
     linfty2_family,
+    random_hermitian,
     random_povm_near_pvm,
     random_state,
 )
+from povmround.orthogonalize import _restricted_null_space
 
-from conftest import random_density, rng_for
+from conftest import kron_null_space_oracle, random_density, rng_for
 
 
 def enumerate_abelian_pvms(alg, n):
@@ -354,3 +357,132 @@ class TestSymmetryPreserving:
             for i in range(inst.povm.n)
         )
         assert diff <= 1e-8
+
+
+def _null_projector(null, size):
+    """Orthogonal projector onto the span of the row-major vectorized basis."""
+    if not null:
+        return np.zeros((size, size), dtype=complex)
+    cols = np.stack([y.reshape(-1) for y in null], axis=1)
+    return cols @ cols.conj().T
+
+
+def _tensor_family(rng, k, m, n):
+    return [np.kron(random_hermitian(rng, k), np.eye(m)) for _ in range(n)]
+
+
+def _equivalent_sum_family(rng, n):
+    # A_i + A_i + B_i, conjugated by a Haar unitary: commutant M_2 + C.
+    u = haar_unitary(rng, 7)
+    fam = []
+    for _ in range(n):
+        a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
+        block = np.zeros((7, 7), dtype=complex)
+        block[:2, :2] = block[2:4, 2:4] = a
+        block[4:, 4:] = b
+        fam.append(u @ block @ u.conj().T)
+    return fam
+
+
+def _exact_pvm_family(seed):
+    alg = BlockAlgebra((9,))
+    pvm = random_povm_near_pvm(alg, 3, 0.0, rng_for(seed))
+    return [e.blocks[0] for e in pvm.elements]
+
+
+def _close_gap_diagonal():
+    # Eigenvalue gaps of 1e-9, 1e-8, 1e-7 and 1e-6, all inside one run.
+    values = 1.0 + np.concatenate([[0.0], np.cumsum([1e-9, 1e-8, 1e-7, 1e-6])])
+    return [np.diag(values).astype(complex)]
+
+
+def _complement_pair(seed):
+    # n = 2 with a_2 = 1 - a_1: every restricted column is already null.
+    a = random_hermitian(rng_for(seed), 6)
+    return [a, np.eye(6) - a]
+
+
+COMMUTANT_FAMILIES = {
+    "tensor_M3_x_1_2": (lambda: _tensor_family(rng_for(1), 3, 2, 3), 4),
+    "tensor_M2_x_1_3": (lambda: _tensor_family(rng_for(2), 2, 3, 2), 9),
+    "equivalent_summands": (lambda: _equivalent_sum_family(rng_for(3), 3), 5),
+    "exact_pvm": (lambda: _exact_pvm_family(4), None),
+    "diagonal_close_gaps": (_close_gap_diagonal, 5),
+    "complement_pair": (lambda: _complement_pair(5), 6),
+}
+
+
+class TestRestrictedNullSpace:
+    """The restricted solve against the dense Kronecker SVD it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_FAMILIES))
+    def test_commutant_matches_kron_oracle(self, name):
+        make, dim = COMMUTANT_FAMILIES[name]
+        fam = make()
+        pairs = [(a, a) for a in fam]
+        d = fam[0].shape[0]
+        null = _restricted_null_space(pairs, 1e-10)
+        oracle = kron_null_space_oracle(pairs, 1e-10)
+        if dim is not None:
+            assert len(oracle) == dim
+        assert len(null) == len(oracle)
+        cols = np.stack([y.reshape(-1) for y in null], axis=1)
+        assert np.abs(cols.conj().T @ cols - np.eye(len(null))).max() <= 1e-12
+        gap = _null_projector(null, d * d) - _null_projector(oracle, d * d)
+        assert np.abs(gap).max() <= 1e-10
+
+    def test_exact_pvm_commutant_is_sum_of_rank_blocks(self):
+        fam = _exact_pvm_family(4)
+        ranks = [round(float(np.trace(p).real)) for p in fam]
+        assert len(_restricted_null_space([(p, p) for p in fam], 1e-10)) == sum(r * r for r in ranks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conjugated_pair_has_one_intertwiner(self, seed):
+        rng = rng_for(seed)
+        fam = [random_hermitian(rng, 5) for _ in range(3)]
+        u = haar_unitary(rng, 5)
+        pairs = [(a, u.conj().T @ a @ u) for a in fam]
+        null = _restricted_null_space(pairs, 1e-10, floor=1e-11)
+        oracle = kron_null_space_oracle(pairs, 1e-10, floor=1e-11)
+        assert len(null) == len(oracle) == 1
+        assert np.abs(_null_projector(null, 25) - _null_projector(oracle, 25)).max() <= 1e-10
+        # The null vector is u up to a phase.
+        assert abs(abs(np.vdot(u, null[0])) - math.sqrt(5)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inequivalent_pair_has_none(self, seed):
+        rng = rng_for(seed)
+        fam_a = [random_hermitian(rng, 5) for _ in range(3)]
+        fam_b = [random_hermitian(rng, 5) for _ in range(3)]
+        pairs = list(zip(fam_a, fam_b))
+        assert _restricted_null_space(pairs, 1e-10, floor=1e-11) == []
+        assert kron_null_space_oracle(pairs, 1e-10, floor=1e-11) == []
+
+
+def test_symmetry_mode_forms_no_d2_by_d2_operand(monkeypatch):
+    # M_12 (x) 1_2 at d = 24: no SVD operand with d^2 columns, no kron of d^4 entries.
+    rng = rng_for(7)
+    small = random_povm_near_pvm(BlockAlgebra((12,)), 3, 0.2, rng)
+    alg = BlockAlgebra((24,))
+    povm = Povm(alg, [alg.element([np.kron(e.blocks[0], np.eye(2))]) for e in small.elements])
+    phi = random_state(alg, rng)
+    svd_columns, kron_sizes = [], []
+    svd, kron = np.linalg.svd, np.kron
+
+    def counting_svd(a, *args, **kwargs):
+        svd_columns.append(np.shape(a)[-1])
+        return svd(a, *args, **kwargs)
+
+    def counting_kron(a, b):
+        out = kron(a, b)
+        kron_sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np, "kron", counting_kron)
+    sym = orthogonalize_symmetry_preserving(alg, phi, povm)
+    assert sym.decomposition.sub.dims == (12,)
+    assert sym.decomposition.multiplicities == (2,)
+    assert all(c.passed for c in sym.checks())
+    assert svd_columns and 24 * 24 not in svd_columns
+    assert 24**4 not in kron_sizes
