@@ -72,10 +72,11 @@ def check_geq(name: str, value: float, threshold: float) -> BoundCheck:
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    cluster_tol groups nearby eigenvalues (scaled by the spectral radius at
-    the point of use), rank_tol is a relative singular-value cutoff, psd_tol
-    is the allowed negativity slack for positivity checks, and cert_tol is
-    the residual allowed in exact-identity certificates.  The minimal-majorant
+    cluster_tol groups nearby eigenvalues of each POVM element for the
+    projection selection (scaled by the element's spectral radius), rank_tol
+    is a relative singular-value cutoff, psd_tol is the allowed negativity
+    slack for positivity checks, and cert_tol is the residual allowed in
+    exact-identity certificates.  The minimal-majorant
     barrier solver shrinks mu by mu_shrink per stage, centers each stage to
     gradient norm newton_tol, stops at a certified gap of gap_tol (relative to
     the family's scale), and takes at most max_iters Newton steps per stage

@@ -143,7 +143,7 @@ def _cmd_verify(path: str, tol: Tolerances):
     missing = [k for k in ("instance", "z", "t") if not isinstance(stored, dict) or k not in stored]
     if missing:
         raise ValidationError(f"majorant report has no result field(s) {missing}")
-    inst = Instance.from_json(stored["instance"])
+    inst = Instance.from_json(stored["instance"], tol)
     z = decode_element(inst.algebra, stored["z"])
     duals = decode_elements(inst.algebra, stored["t"])
     f = inst.functionals

@@ -68,6 +68,12 @@ DECOMPOSE_ATTEMPTS = 8
 # its generic combination.  Eigenvalues closer than this share a run and only
 # add unknowns; runs this far apart keep eigenvector errors near 1e-12.
 _NULL_SPLIT_GAP = 1e-4
+# Absolute eigenvalue gap at which the unit-norm Hermitian part of the
+# generic commutant element splits into irreducible pieces.
+_PIECE_SPLIT_GAP = 1e-7
+# Relative size, against the generic element, below which the block it has
+# between two pieces counts as zero: the pieces are then inequivalent.
+_HOM_CUTOFF = 1e-8
 
 # Thresholds of the certified rounding bounds (repair reuses BOUND_SLACK).
 BOUND_SLACK = 1e-7           # additive slack on the 9x and 10x error bounds
@@ -395,86 +401,71 @@ class GeneratedAlgebra(SubAlgebra):
     residual: float                     # max_i block-diagonalization residual
 
 
-def _generic_spectrum(family: list[np.ndarray], coeffs: np.ndarray):
-    """Eigenvalues (descending) and eigenvectors of sum_i c_i f_i."""
-    w, v = np.linalg.eigh(hermitian_part(sum(c * f for c, f in zip(coeffs, family))))
-    return w[::-1], v[:, ::-1]
+def _commutant_basis(family: list[np.ndarray], rank_tol: float) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of {y : a y = y a for every Hermitian a in
+    the family}, cut at singular values rank_tol * scale with
+    scale = sqrt(sum_i (2 ||a_i||_2)^2), a bound on the norm of the stacked
+    operator y -> (a_i y - y a_i)_i that does not depend on how many of its
+    directions the restriction below keeps.
 
-
-def _restricted_null_space(pairs, rank_tol: float, floor: float = 0.0) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of {y : a y = y b for every Hermitian pair
-    (a, b)}, cut at singular values max(rank_tol * scale, floor) with
-    scale = sqrt(sum_i (||a_i||_2 + ||b_i||_2)^2), a bound on the norm of the
-    stacked operator y -> (a_i y - y b_i)_i that does not depend on how many
-    of its directions the restriction below keeps.
-
-    Every such y also satisfies g_a y = y g_b for one seeded generic real
-    combination g_a = sum_i c_i a_i, g_b = sum_i c_i b_i, so in their
-    eigenbases y maps each eigenspace of g_b into the eigenspace of g_a with
-    the same eigenvalue.  The unknowns are therefore only the blocks between
-    matched eigenvalue runs, sum_j p_j q_j of them (d for a simple spectrum),
-    and every pair's constraint is imposed on those alone.  Runs split at
-    relative gaps above _NULL_SPLIT_GAP; closer eigenvalues only add unknowns.
+    Every such y also commutes with one seeded generic real combination
+    g = sum_i c_i a_i, so in its eigenbasis y maps each eigenspace of g into
+    itself.  The unknowns are therefore only the diagonal blocks of the
+    eigenvalue runs, sum_j p_j^2 of them (d for a simple spectrum), and every
+    constraint is imposed on those alone.  Runs split at relative gaps above
+    _NULL_SPLIT_GAP; closer eigenvalues only add unknowns.
     """
-    fam_a = [a for a, _ in pairs]
-    fam_b = [b for _, b in pairs]
-    coeffs = np.random.default_rng(_GENERIC_SEED).standard_normal(len(pairs))
-    wa, ua = _generic_spectrum(fam_a, coeffs)
-    wb, ub = _generic_spectrum(fam_b, coeffs)
-    gap = _NULL_SPLIT_GAP * float(max(np.abs(wa).max(), np.abs(wb).max()))
-    # Runs whose value intervals [w[-1], w[0]] come within gap of each other match.
-    matched = [
-        (u, v)
-        for va, u in split_at_gaps(wa, ua, gap)
-        for vb, v in split_at_gaps(wb, ub, gap)
-        if max(vb[-1] - va[0], va[-1] - vb[0]) <= gap
-    ]
-    if not matched:
-        return []
+    coeffs = np.random.default_rng(_GENERIC_SEED).standard_normal(len(family))
+    w, v = np.linalg.eigh(hermitian_part(sum(c * f for c, f in zip(coeffs, family))))
+    w, v = w[::-1], v[:, ::-1]
+    runs = [u for _, u in split_at_gaps(w, v, _NULL_SPLIT_GAP * float(np.abs(w).max()))]
 
-    # Column (r, s) of run pair (u, v) stacks a_i u_r v_s^H - u_r v_s^H b_i over i,
-    # row-major, with u_r v_s^H b_i = u_r (b_i^H v_s)^H.
-    stack_a = np.stack(fam_a)
-    stack_bh = np.stack(fam_b).conj().transpose(0, 2, 1)
+    # Column (r, s) of run u stacks a_i u_r u_s^H - u_r u_s^H a_i over i,
+    # row-major, with u_r u_s^H a_i = u_r (a_i^H u_s)^H.
+    stack = np.stack(family)
+    stack_h = stack.conj().transpose(0, 2, 1)
     columns = []
-    for u, v in matched:
-        left = (stack_a @ u)[:, :, None, :, None] * v.conj()[None, None, :, None, :]
-        right = u[None, :, None, :, None] * (stack_bh @ v).conj()[:, None, :, None, :]
-        columns.append((left - right).reshape(-1, u.shape[1] * v.shape[1]))
+    for u in runs:
+        left = (stack @ u)[:, :, None, :, None] * u.conj()[None, None, :, None, :]
+        right = u[None, :, None, :, None] * (stack_h @ u).conj()[:, None, :, None, :]
+        columns.append((left - right).reshape(-1, u.shape[1] ** 2))
     _, s, vh = np.linalg.svd(np.hstack(columns), full_matrices=False)
 
-    scale = math.sqrt(
-        sum((np.linalg.norm(a, 2) + np.linalg.norm(b, 2)) ** 2 for a, b in pairs)
-    )
-    cutoff = max(rank_tol * scale, floor)
+    scale = math.sqrt(sum((2.0 * np.linalg.norm(a, 2)) ** 2 for a in family))
     # A null vector of the restricted operator holds the blocks x_j of
-    # y = sum_j u_j x_j v_j^H, which keeps its Frobenius norm.
-    splits = np.cumsum([u.shape[1] * v.shape[1] for u, v in matched])[:-1]
+    # y = sum_j u_j x_j u_j^H, which keeps its Frobenius norm.
+    splits = np.cumsum([u.shape[1] ** 2 for u in runs])[:-1]
     null = []
-    for j in np.flatnonzero(s <= cutoff):
+    for j in np.flatnonzero(s <= rank_tol * scale):
         pieces = np.split(vh[j].conj(), splits)
         null.append(sum(
-            u @ x.reshape(u.shape[1], v.shape[1]) @ v.conj().T
-            for (u, v), x in zip(matched, pieces)
+            u @ x.reshape(u.shape[1], u.shape[1]) @ u.conj().T
+            for u, x in zip(runs, pieces)
         ))
     return null
 
 
-def _intertwiner(fam_a: list[np.ndarray], fam_b: list[np.ndarray], rank_tol: float):
-    """Unique-up-to-phase unitary T with A_i T = T B_i, or None; the phase
-    makes the largest-magnitude entry of T real positive."""
-    d = fam_a[0].shape[0]
-    if fam_b[0].shape[0] != d:
+def _intertwiner(left: np.ndarray, generic: np.ndarray, right: np.ndarray, cut: float):
+    """Unitary T with A_i T = T B_i, where A_i and B_i are the family
+    compressed to the pieces spanned by ``left`` and ``right``, or None when
+    the pieces are inequivalent.
+
+    By Schur's lemma, left^H generic right for a generic commutant element is
+    zero between inequivalent pieces and a nonzero multiple of the
+    unique-up-to-phase unitary intertwiner between equivalent ones.  The phase
+    makes the largest-magnitude entry of T real positive.
+    """
+    d = left.shape[1]
+    if right.shape[1] != d:
         return None
-    null = _restricted_null_space(list(zip(fam_a, fam_b)), rank_tol, floor=1e-11)
-    if len(null) != 1:
-        return None if not null else "degenerate"
-    t = null[0]
-    gram = t.conj().T @ t
+    x = left.conj().T @ generic @ right
+    gram = x.conj().T @ x
     scale = float(np.trace(gram).real) / d
-    if scale <= 0 or np.linalg.norm(gram - scale * np.eye(d)) > 1e-7 * max(scale, 1.0):
-        return "degenerate"
-    return _phase_fix_columns((t / math.sqrt(scale)).reshape(-1, 1)).reshape(d, d)
+    if math.sqrt(scale) <= cut:
+        return None
+    if np.linalg.norm(gram - scale * np.eye(d)) > 1e-7 * max(scale, 1.0):
+        raise SolverError("intertwiner block is not a multiple of a unitary")
+    return _phase_fix_columns((x / math.sqrt(scale)).reshape(-1, 1)).reshape(d, d)
 
 
 def decompose_generated_algebra(
@@ -483,13 +474,14 @@ def decompose_generated_algebra(
     """Identify the algebra generated by a Hermitian family with a direct sum
     of full matrix blocks carrying multiplicities.
 
-    The commutant, and each intertwiner between two pieces, is the null
-    space of the commutator constraints restricted to the blocks between
-    matched eigenspaces of a seeded generic combination of the family
-    (``_restricted_null_space``); no d^2 x d^2 operator is formed.  The
-    eigenspaces of a seeded generic Hermitian commutant element split the
-    space, equivalent pieces are detected and aligned by their (unique)
-    intertwiners, and the result is verified against the conjugated family.  Degenerate draws are retried with fresh seeds, at most
+    Per ambient block, ``_commutant_basis`` finds the commutant of the family
+    without forming a d^2 x d^2 operator.  One seeded generic commutant
+    element y does the rest: the eigenspaces of its Hermitian part are the
+    irreducible pieces, and the block of y between two pieces is zero when
+    they are inequivalent and a multiple of the unitary intertwiner that
+    aligns them when they are equivalent (``_intertwiner``).  A draw whose
+    pieces do not account for the commutant (sum of m^2 over the sub-blocks)
+    or do not reproduce the family is retried with a fresh seed, at most
     ``DECOMPOSE_ATTEMPTS`` times.
     """
     if not elements:
@@ -505,22 +497,24 @@ def decompose_generated_algebra(
         herm.append(h)
 
     scale = max(1.0, max(h.spectral_radius() for h in herm))
-    last_residual = math.inf
+    bound = 10.0 * tol.cert_tol * scale
+    last_failure = ""
     for attempt in range(DECOMPOSE_ATTEMPTS):
         rng = np.random.default_rng(_GENERIC_SEED + attempt)
         try:
-            result = _decompose_once(alg, herm, rng, tol, scale)
-        except SolverError:
+            result = _decompose_once(alg, herm, rng, tol)
+        except SolverError as exc:
+            last_failure = str(exc)
             continue
-        if result.residual <= 10.0 * tol.cert_tol * scale:
+        if result.residual <= bound:
             return result
-        last_residual = min(last_residual, result.residual)
+        last_failure = f"residual {result.residual:.3e} above {bound:.3e}"
     raise SolverError(
-        f"block decomposition did not converge; best residual {last_residual:.3e}"
+        f"block decomposition failed after {DECOMPOSE_ATTEMPTS} attempts; last: {last_failure}"
     )
 
 
-def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
+def _decompose_once(alg, herm, rng, tol) -> GeneratedAlgebra:
     sub_dims = []
     mults = []
     ambient_of = []
@@ -530,7 +524,7 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
 
     for k, d in enumerate(alg.dims):
         family = [h.blocks[k] for h in herm]
-        comm = _restricted_null_space([(a, a) for a in family], tol.rank_tol)
+        comm = _commutant_basis(family, tol.rank_tol)
         for y in comm:
             blocks = [np.zeros((dd, dd), dtype=complex) for dd in alg.dims]
             nrm = np.linalg.norm(y)
@@ -538,7 +532,8 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
             commutant_elements.append(AlgebraElement(alg, blocks))
 
         coeffs = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-        g = hermitian_part(sum(c * y for c, y in zip(coeffs, comm)))
+        generic = sum(c * y for c, y in zip(coeffs, comm))
+        g = hermitian_part(generic)
         gn = np.linalg.norm(g)
         if gn > 0:
             g = g / gn
@@ -547,32 +542,29 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
         w = w[order]
         v = v[:, order]
 
-        # Cluster the eigenvalues of the generic element.
-        ctol = tol.cluster_tol * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        spaces = [basis for _, basis in split_at_gaps(w, v, max(ctol, 1e-7))]
-
-        compressed = [
-            [basis.conj().T @ a @ basis for a in family] for basis in spaces
-        ]
+        spaces = [basis for _, basis in split_at_gaps(w, v, _PIECE_SPLIT_GAP)]
 
         # Group equivalent eigenspaces, aligning each to its group representative.
+        cut = _HOM_CUTOFF * float(np.linalg.norm(generic))
         groups: list[list[int]] = []
         aligned: dict[int, np.ndarray] = {}
-        for r in range(len(spaces)):
-            placed = False
+        for r, space in enumerate(spaces):
             for grp in groups:
-                t = _intertwiner(compressed[grp[0]], compressed[r], tol.rank_tol)
-                if t is None:
-                    continue
-                if isinstance(t, str):
-                    raise SolverError("degenerate generic element")
-                grp.append(r)
-                aligned[r] = spaces[r] @ t.conj().T
-                placed = True
-                break
-            if not placed:
+                t = _intertwiner(spaces[grp[0]], generic, space, cut)
+                if t is not None:
+                    grp.append(r)
+                    aligned[r] = space @ t.conj().T
+                    break
+            else:
                 groups.append([r])
-                aligned[r] = spaces[r]
+                aligned[r] = space
+        # The commutant of the sum of M_dk (x) 1_m is the sum of M_m.
+        count = sum(len(grp) ** 2 for grp in groups)
+        if count != len(comm):
+            raise SolverError(
+                f"block {k}: pieces do not account for the commutant "
+                f"({count} of {len(comm)} dimensions)"
+            )
 
         # Deterministic group order: dominant ambient coordinate, then size.
         def support_key(grp):
@@ -587,12 +579,8 @@ def _decompose_once(alg, herm, rng, tol, scale) -> GeneratedAlgebra:
         for grp in groups:
             dk = spaces[grp[0]].shape[1]
             m = len(grp)
-            cols = np.zeros((d, dk * m), dtype=complex)
-            for u, r in enumerate(grp):
-                f = aligned[r]
-                for alpha in range(dk):
-                    cols[:, alpha * m + u] = f[:, alpha]
-            w_cols.append(cols)
+            # Column alpha * m + u is column alpha of the group's u-th piece.
+            w_cols.append(np.stack([aligned[r] for r in grp], axis=2).reshape(d, dk * m))
             sub_dims.append(dk)
             mults.append(m)
             ambient_of.append(k)

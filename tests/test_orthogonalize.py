@@ -12,6 +12,7 @@ from povmround import (
     PreconditionError,
     Pvm,
     State,
+    Tolerances,
     complete_polar,
     decompose_generated_algebra,
     defect,
@@ -30,7 +31,7 @@ from povmround.generators import (
     random_povm_near_pvm,
     random_state,
 )
-from povmround.orthogonalize import _restricted_null_space
+from povmround.orthogonalize import _commutant_basis
 
 from conftest import kron_null_space_oracle, random_density, rng_for
 
@@ -295,6 +296,74 @@ class TestDecomposeGeneratedAlgebra:
         sub_phi = d.compress_state(phi)
         assert sub_phi.total_trace() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conjugated_summands_are_one_piece(self, seed):
+        # A_i + V^H A_i V: the summands are equivalent through the Haar unitary V.
+        rng = rng_for(seed)
+        fam = [random_hermitian(rng, 5) for _ in range(3)]
+        v = haar_unitary(rng, 5)
+        d = decompose_generated_algebra(_direct_sums(fam, [v.conj().T @ a @ v for a in fam]))
+        assert d.sub.dims == (5,)
+        assert d.multiplicities == (2,)
+        assert d.residual <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inequivalent_summands_stay_apart(self, seed):
+        rng = rng_for(seed)
+        fam_a = [random_hermitian(rng, 5) for _ in range(3)]
+        fam_b = [random_hermitian(rng, 5) for _ in range(3)]
+        d = decompose_generated_algebra(_direct_sums(fam_a, fam_b))
+        assert d.sub.dims == (5, 5)
+        assert d.multiplicities == (1, 1)
+
+    def test_equivalent_summands(self):
+        alg = BlockAlgebra((7,))
+        fam = _equivalent_sum_family(rng_for(3), 3)
+        d = decompose_generated_algebra([alg.element([a]) for a in fam])
+        assert sorted(zip(d.sub.dims, d.multiplicities)) == [(2, 2), (3, 1)]
+        assert len(d.commutant) == 5
+
+    def test_pieces_ignore_cluster_tol(self):
+        # cluster_tol clusters the selection's eigenvalues only: a coarse value
+        # must not merge the three copies of M_4.
+        rng = rng_for(6)
+        alg = BlockAlgebra((12,))
+        gens = [alg.element([np.kron(random_hermitian(rng, 4), np.eye(3))]) for _ in range(3)]
+        d = decompose_generated_algebra(gens, Tolerances(cluster_tol=0.5))
+        assert d.sub.dims == (4,)
+        assert d.multiplicities == (3,)
+
+    def test_one_svd_links_the_pieces(self, monkeypatch):
+        # M_2 (x) 1_3: the commutant solve is the only SVD; the generic
+        # commutant element it yields also links the three pieces.
+        rng = rng_for(9)
+        alg = BlockAlgebra((6,))
+        gens = [alg.element([np.kron(random_hermitian(rng, 2), np.eye(3))]) for _ in range(2)]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        d = decompose_generated_algebra(gens)
+        assert (d.sub.dims, d.multiplicities) == ((2,), (3,))
+        assert len(calls) == 1
+
+
+def _direct_sums(fam_a, fam_b):
+    """The generators a_i + b_i on one block of dimension dim(a) + dim(b)."""
+    p, q = fam_a[0].shape[0], fam_b[0].shape[0]
+    alg = BlockAlgebra((p + q,))
+    out = []
+    for a, b in zip(fam_a, fam_b):
+        block = np.zeros((p + q, p + q), dtype=complex)
+        block[:p, :p] = a
+        block[p:, p:] = b
+        out.append(alg.element([block]))
+    return out
+
 
 class TestSymmetryPreserving:
     def test_diagonal_family_stays_diagonal(self):
@@ -419,10 +488,9 @@ class TestRestrictedNullSpace:
     def test_commutant_matches_kron_oracle(self, name):
         make, dim = COMMUTANT_FAMILIES[name]
         fam = make()
-        pairs = [(a, a) for a in fam]
         d = fam[0].shape[0]
-        null = _restricted_null_space(pairs, 1e-10)
-        oracle = kron_null_space_oracle(pairs, 1e-10)
+        null = _commutant_basis(fam, 1e-10)
+        oracle = kron_null_space_oracle([(a, a) for a in fam], 1e-10)
         if dim is not None:
             assert len(oracle) == dim
         assert len(null) == len(oracle)
@@ -434,29 +502,7 @@ class TestRestrictedNullSpace:
     def test_exact_pvm_commutant_is_sum_of_rank_blocks(self):
         fam = _exact_pvm_family(4)
         ranks = [round(float(np.trace(p).real)) for p in fam]
-        assert len(_restricted_null_space([(p, p) for p in fam], 1e-10)) == sum(r * r for r in ranks)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_conjugated_pair_has_one_intertwiner(self, seed):
-        rng = rng_for(seed)
-        fam = [random_hermitian(rng, 5) for _ in range(3)]
-        u = haar_unitary(rng, 5)
-        pairs = [(a, u.conj().T @ a @ u) for a in fam]
-        null = _restricted_null_space(pairs, 1e-10, floor=1e-11)
-        oracle = kron_null_space_oracle(pairs, 1e-10, floor=1e-11)
-        assert len(null) == len(oracle) == 1
-        assert np.abs(_null_projector(null, 25) - _null_projector(oracle, 25)).max() <= 1e-10
-        # The null vector is u up to a phase.
-        assert abs(abs(np.vdot(u, null[0])) - math.sqrt(5)) <= 1e-10
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_inequivalent_pair_has_none(self, seed):
-        rng = rng_for(seed)
-        fam_a = [random_hermitian(rng, 5) for _ in range(3)]
-        fam_b = [random_hermitian(rng, 5) for _ in range(3)]
-        pairs = list(zip(fam_a, fam_b))
-        assert _restricted_null_space(pairs, 1e-10, floor=1e-11) == []
-        assert kron_null_space_oracle(pairs, 1e-10, floor=1e-11) == []
+        assert len(_commutant_basis(fam, 1e-10)) == sum(r * r for r in ranks)
 
 
 def test_symmetry_mode_forms_no_d2_by_d2_operand(monkeypatch):

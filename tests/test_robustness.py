@@ -1,13 +1,16 @@
 """Malformed CLI input and unwritable output exit 2, verify checks a report's
 stored claims, gen builds no report, sweep's draws respect --max-dim, and the
-block decomposition has its own retry budget."""
+block decomposition has its own retry budget and names why it ran out."""
 
 import importlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from povmround import BlockAlgebra, SolverError, Tolerances, decompose_generated_algebra
+from povmround.generators import random_hermitian
 from povmround.cli import _sweep_config, main
 from povmround.io import dumps
 
@@ -209,6 +212,23 @@ class TestVerifyStoredClaims:
         assert _verify_edited(tmp_path, majorant_report, edit) == 2
 
 
+def test_verify_validates_embedded_instance_with_its_tol(tmp_path, capsys):
+    # Smallest eigenvalue -5e-8: positive within psd_tol=1e-6, not within the default.
+    inst_path = tmp_path / "fun.json"
+    report_path = tmp_path / "maj.json"
+    matrices = [[[1.0, 0.0], [0.0, -5e-8]], [[0.5, 0.2], [0.2, 0.8]]]
+    inst_path.write_text(json.dumps({
+        "format": "povmround/instance", "version": 1, "dims": [2],
+        "functionals": [[[[[v, 0.0] for v in row] for row in m]] for m in matrices],
+    }))
+    loose = ["--tol", "psd_tol=1e-6"]
+    assert main(["majorant", "--in", str(inst_path), "--out", str(report_path)] + loose) == 0
+    assert main(["verify", "--in", str(report_path)] + loose) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(report_path)]) == 2
+    assert "functional 0 is not positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_iters", [1, 500])
 def test_decomposition_attempts_ignore_barrier_max_iters(monkeypatch, max_iters):
     attempts = []
@@ -222,3 +242,23 @@ def test_decomposition_attempts_ignore_barrier_max_iters(monkeypatch, max_iters)
     with pytest.raises(SolverError):
         decompose_generated_algebra([alg.identity()], Tolerances().replace(max_iters=max_iters))
     assert len(attempts) == orthogonalize_module.DECOMPOSE_ATTEMPTS
+
+
+def test_decomposition_names_the_last_failure(monkeypatch):
+    # With every intertwiner block read as zero, the two copies of M_2 cannot
+    # be linked, and each attempt finds 2 pieces for a 4-dimensional commutant.
+    calls = []
+    once = orthogonalize_module._decompose_once
+
+    def counted(*args):
+        calls.append(args)
+        return once(*args)
+
+    monkeypatch.setattr(orthogonalize_module, "_HOM_CUTOFF", math.inf)
+    monkeypatch.setattr(orthogonalize_module, "_decompose_once", counted)
+    rng = np.random.default_rng(8)
+    alg = BlockAlgebra((4,))
+    gens = [alg.element([np.kron(random_hermitian(rng, 2), np.eye(2))]) for _ in range(2)]
+    with pytest.raises(SolverError, match="pieces do not account for the commutant"):
+        decompose_generated_algebra(gens)
+    assert len(calls) == orthogonalize_module.DECOMPOSE_ATTEMPTS
