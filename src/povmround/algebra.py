@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -74,7 +75,8 @@ class Tolerances:
 
     cluster_tol groups nearby eigenvalues of each POVM element for the
     projection selection (scaled by the element's spectral radius), rank_tol
-    is a relative singular-value cutoff, psd_tol is the allowed negativity
+    is the relative singular-value cutoff of the symmetry-mode commutant
+    solve and nothing else, psd_tol is the allowed negativity
     slack for positivity checks, and cert_tol is the residual allowed in
     exact-identity certificates.  The minimal-majorant
     barrier solver shrinks mu by mu_shrink per stage, centers each stage to
@@ -121,9 +123,17 @@ class BlockAlgebra:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        message = "block dimensions must be a nonempty list of positive integers"
+        try:
+            dims = tuple(self.dims)
+            if any(isinstance(d, (bool, np.bool_)) for d in dims):
+                raise ValidationError(message)
+            # Unlike int, operator.index rejects 1.7 and "2"; numpy integers pass.
+            dims = tuple(operator.index(d) for d in dims)
+        except TypeError:
+            raise ValidationError(message) from None
         if len(dims) < 1 or any(d < 1 for d in dims):
-            raise ValidationError("block dimensions must be a nonempty list of positive integers")
+            raise ValidationError(message)
         object.__setattr__(self, "dims", dims)
 
     @property

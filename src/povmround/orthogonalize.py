@@ -9,10 +9,12 @@ eps0 = 1 - phi(sum_i a_i^2), the rounding proceeds in two stages:
    linear program over eigenspace items, solved exactly by a greedy top-d
    selection per central block.
 
-2. ``complete_polar``: take the tall block column x with rows q_i a_i^(1/2),
-   write x = u |x|, and complete the polar part u to an exact isometry whose
-   range is the direct sum of the q_i.  The rounded projections are
-   p_i = u_i^H q_i u_i, which sum to the identity by construction.
+2. ``complete_polar``: take the tall block column x with rows q_i a_i^(1/2).
+   Since the ranks of the q_i sum to d_k, x = Q y for an orthonormal basis Q
+   of the direct sum of the q_i and a square y, and u = Q W with W the
+   unitary polar factor of y is an exact isometry with x = u |x|.  The
+   rounded projections are p_i = u_i^H q_i u_i, which sum to the identity by
+   construction.
 
 The output PVM satisfies sum_i phi(|a_i - p_i|^2) <= 9 * eps0, and the
 report carries the residuals that certify each step of that bound.
@@ -218,54 +220,30 @@ def select_projections(
     return SelectionResult(projections, value, lp_value, ranks, comm, idem)
 
 
-def _phase_fix_columns(b: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = b.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        mag = abs(col[idx])
-        if mag > 0:
-            out[:, j] = col * (col[idx].conjugate() / mag)
-    return out
-
-
-def _pivoted_orthonormal(m: np.ndarray, count: int, floor: float = 1e-12) -> np.ndarray:
-    """Greedy-pivoted Gram-Schmidt basis of the column span, `count` columns."""
-    work = m.astype(complex).copy()
-    rows = work.shape[0]
-    basis = np.zeros((rows, count), dtype=complex)
-    for j in range(count):
-        norms = np.linalg.norm(work, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= floor:
-            raise SolverError(
-                f"orthonormal completion found only {j} of {count} directions"
-            )
-        col = work[:, pick] / norms[pick]
-        basis[:, j] = col
-        work -= np.outer(col, col.conj() @ work)
-    return basis
-
-
 def complete_polar(
     alg: BlockAlgebra,
     columns: Sequence[np.ndarray],
     targets: Sequence[AlgebraElement],
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[np.ndarray]:
-    """Polar part of a tall block column map, completed to an exact isometry.
+    """Isometric polar part of a tall block column map.
 
     ``columns[k]`` is the (n*d_k, d_k) matrix of block rows landing in the
-    ranges of the target projections; per block the returned u satisfies
-    u^H u = 1 and u u^H = diag(q_1, ..., q_n), with x = u |x| up to the
-    singular values below the rank cutoff.
-
-    The completion pairs a pivoted orthonormal basis of the domain kernel
-    with one of range(diag q) minus range(x); bases are phase-normalized so
-    the pairing is deterministic.
+    ranges of the target projections, whose ranks sum to d_k.  With Q an
+    orthonormal basis of range(diag(q_1, ..., q_n)), x = Q y for the square
+    y = Q^H x, and u = Q W for the unitary polar factor W of y.  Per block u
+    satisfies u^H u = 1, u u^H = diag(q_1, ..., q_n) and x = u |x| exactly,
+    with no rank cutoff: W stays unitary when y is singular.
     """
     n = len(targets)
+    if len(columns) != alg.num_blocks:
+        raise PreconditionError(
+            f"{len(columns)} column maps for an algebra of {alg.num_blocks} blocks"
+        )
+    for i, q in enumerate(targets):
+        if q.algebra.dims != alg.dims:
+            raise PreconditionError(
+                f"target {i} has block dimensions {q.algebra.dims}, expected {alg.dims}"
+            )
     isometries = []
     for k, d in enumerate(alg.dims):
         x = np.asarray(columns[k], dtype=complex)
@@ -288,29 +266,16 @@ def complete_polar(
             raise PreconditionError(
                 f"block {k}: target ranks sum to {rank_sum}, expected {d}"
             )
-        q_basis = np.hstack(range_cols) if range_cols else np.zeros((n * d, 0), dtype=complex)
+        q_basis = np.hstack(range_cols)
 
-        out_of_range = x - q_basis @ (q_basis.conj().T @ x)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if np.linalg.norm(out_of_range) > 1e-7 * scale:
+        y = q_basis.conj().T @ x
+        out_of_range = np.linalg.norm(x - q_basis @ y)
+        if out_of_range > 1e-7 * max(1.0, float(np.linalg.norm(x))):
             raise PreconditionError(
-                f"block {k}: columns leave the target range by "
-                f"{np.linalg.norm(out_of_range):.3e}"
+                f"block {k}: columns leave the target range by {out_of_range:.3e}"
             )
-
-        u_left, s, vh = np.linalg.svd(x, full_matrices=False)
-        cutoff = tol.rank_tol * (float(s[0]) if s.size and s[0] > 0 else 1.0)
-        r = int(np.sum(s > cutoff))
-        u0 = u_left[:, :r] @ vh[:r, :]
-
-        v_kernel = _phase_fix_columns(vh[r:, :].conj().T)          # (d, d-r)
-        residue = q_basis - u_left[:, :r] @ (u_left[:, :r].conj().T @ q_basis)
-        w_kernel = (
-            _phase_fix_columns(_pivoted_orthonormal(residue, d - r))
-            if d - r
-            else np.zeros((n * d, 0), dtype=complex)
-        )
-        isometries.append(u0 + w_kernel @ v_kernel.conj().T)
+        w, _, vh = np.linalg.svd(y)
+        isometries.append(q_basis @ (w @ vh))
     return isometries
 
 
@@ -320,8 +285,8 @@ def orthogonalize(
     """Round a POVM to the certified nearby PVM.
 
     Builds the column map x with rows q_i a_i^(1/2) from the selected
-    projections, completes its polar part to an isometry u with range
-    diag(q_i), and returns p_i = u_i^H q_i u_i.  The error satisfies
+    projections, takes its isometric polar part u with range diag(q_i), and
+    returns p_i = u_i^H q_i u_i.  The error satisfies
     sum_i phi(|a_i - p_i|^2) <= 9 * defect up to certificate tolerance.
     """
     eps0 = defect(phi, a)
@@ -340,7 +305,7 @@ def orthogonalize(
             sel.projections[i].blocks[k] @ roots[i].blocks[k] for i in range(a.n)
         ])
         columns.append(col)
-    u = complete_polar(alg, columns, sel.projections, tol)
+    u = complete_polar(alg, columns, sel.projections)
 
     p_elements = []
     for i in range(a.n):
@@ -465,7 +430,9 @@ def _intertwiner(left: np.ndarray, generic: np.ndarray, right: np.ndarray, cut: 
         return None
     if np.linalg.norm(gram - scale * np.eye(d)) > 1e-7 * max(scale, 1.0):
         raise SolverError("intertwiner block is not a multiple of a unitary")
-    return _phase_fix_columns((x / math.sqrt(scale)).reshape(-1, 1)).reshape(d, d)
+    t = x / math.sqrt(scale)
+    ref = t.flat[int(np.argmax(np.abs(t)))]
+    return t * (ref.conj() / abs(ref))
 
 
 def decompose_generated_algebra(

@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from povmround import (
     FunctionalFamily,
     MajorantSolution,
     PreconditionError,
+    SolverError,
     State,
+    Tolerances,
 )
+from povmround.algebra import DEFAULT_TOL, projection_range
 from povmround.majorant import majorant_certificate
 
 
@@ -76,6 +81,103 @@ def kron_null_space_oracle(pairs, rank_tol: float, floor: float = 0.0) -> list[n
     cutoff = max(rank_tol * smax, floor)
     # Null vectors of A = U S V^H are the conjugated rows of V^H at zero s.
     return [vh[j].conj().reshape(d, d) for j in range(len(s)) if s[j] <= cutoff]
+
+
+def _phase_fix_columns(b: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive."""
+    out = b.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = int(np.argmax(np.abs(col)))
+        mag = abs(col[idx])
+        if mag > 0:
+            out[:, j] = col * (col[idx].conjugate() / mag)
+    return out
+
+
+def _pivoted_orthonormal(m: np.ndarray, count: int, floor: float = 1e-12) -> np.ndarray:
+    """Greedy-pivoted Gram-Schmidt basis of the column span, `count` columns."""
+    work = m.astype(complex).copy()
+    rows = work.shape[0]
+    basis = np.zeros((rows, count), dtype=complex)
+    for j in range(count):
+        norms = np.linalg.norm(work, axis=0)
+        pick = int(np.argmax(norms))
+        if norms[pick] <= floor:
+            raise SolverError(
+                f"orthonormal completion found only {j} of {count} directions"
+            )
+        col = work[:, pick] / norms[pick]
+        basis[:, j] = col
+        work -= np.outer(col, col.conj() @ work)
+    return basis
+
+
+def kernel_completion_oracle(
+    alg: BlockAlgebra,
+    columns: Sequence[np.ndarray],
+    targets: Sequence[AlgebraElement],
+    tol: Tolerances = DEFAULT_TOL,
+) -> list[np.ndarray]:
+    """Polar part of a tall block column map, completed to an exact isometry.
+
+    ``columns[k]`` is the (n*d_k, d_k) matrix of block rows landing in the
+    ranges of the target projections; per block the returned u satisfies
+    u^H u = 1 and u u^H = diag(q_1, ..., q_n), with x = u |x| up to the
+    singular values below the rank cutoff.
+
+    The completion pairs a pivoted orthonormal basis of the domain kernel
+    with one of range(diag q) minus range(x); bases are phase-normalized so
+    the pairing is deterministic.  This is the tall-SVD completion that the
+    square polar factor in orthogonalize.py replaced; used as a test oracle.
+    """
+    n = len(targets)
+    isometries = []
+    for k, d in enumerate(alg.dims):
+        x = np.asarray(columns[k], dtype=complex)
+        if x.shape != (n * d, d):
+            raise PreconditionError(
+                f"block {k}: column map has shape {x.shape}, expected {(n * d, d)}"
+            )
+        # Orthonormal basis of range(diag(q_i)), stacked at the block offsets.
+        range_cols = []
+        rank_sum = 0
+        for i, q in enumerate(targets):
+            basis = projection_range(q.blocks[k])
+            r = basis.shape[1]
+            rank_sum += r
+            if r:
+                emb = np.zeros((n * d, r), dtype=complex)
+                emb[i * d : (i + 1) * d, :] = basis
+                range_cols.append(emb)
+        if rank_sum != d:
+            raise PreconditionError(
+                f"block {k}: target ranks sum to {rank_sum}, expected {d}"
+            )
+        q_basis = np.hstack(range_cols) if range_cols else np.zeros((n * d, 0), dtype=complex)
+
+        out_of_range = x - q_basis @ (q_basis.conj().T @ x)
+        scale = max(1.0, float(np.linalg.norm(x)))
+        if np.linalg.norm(out_of_range) > 1e-7 * scale:
+            raise PreconditionError(
+                f"block {k}: columns leave the target range by "
+                f"{np.linalg.norm(out_of_range):.3e}"
+            )
+
+        u_left, s, vh = np.linalg.svd(x, full_matrices=False)
+        cutoff = tol.rank_tol * (float(s[0]) if s.size and s[0] > 0 else 1.0)
+        r = int(np.sum(s > cutoff))
+        u0 = u_left[:, :r] @ vh[:r, :]
+
+        v_kernel = _phase_fix_columns(vh[r:, :].conj().T)          # (d, d-r)
+        residue = q_basis - u_left[:, :r] @ (u_left[:, :r].conj().T @ q_basis)
+        w_kernel = (
+            _phase_fix_columns(_pivoted_orthonormal(residue, d - r))
+            if d - r
+            else np.zeros((n * d, 0), dtype=complex)
+        )
+        isometries.append(u0 + w_kernel @ v_kernel.conj().T)
+    return isometries
 
 
 @pytest.fixture

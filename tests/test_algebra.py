@@ -44,6 +44,12 @@ class TestBlockAlgebra:
         with pytest.raises(ValidationError):
             BlockAlgebra(())
 
+    def test_dims_must_be_integers(self):
+        assert BlockAlgebra((np.int64(2), 3)).dims == (2, 3)
+        for dims in ((1.7, 1), (True, 1), (np.bool_(True), 1), ("2", 1), 3):
+            with pytest.raises(ValidationError):
+                BlockAlgebra(dims)
+
     def test_identity_and_total_dim(self):
         alg = BlockAlgebra((2, 3))
         assert alg.total_dim == 5

@@ -213,6 +213,20 @@ class TestCli:
         ]) == 0
         assert main(["orthogonalize", "--in", str(inst_path)]) == 2
 
+    @pytest.mark.parametrize("dim", [1.7, True, "2"])
+    def test_non_integer_block_dimension_exit_2(self, tmp_path, dim):
+        # int() would read 1.7 and true as 1 and solve a (1, 1) instance.
+        path = tmp_path / "linfty2.json"
+        assert main([
+            "gen", "--kind", "linfty2_family", "--seed", "0",
+            "--param", "c=0.1", "--out", str(path),
+        ]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["dims"] == [1, 1]
+        doc["dims"] = [dim, 1]
+        path.write_text(json.dumps(doc))
+        assert main(["orthogonalize", "--in", str(path)]) == 2
+
     def test_tol_flag_propagates(self, tmp_path):
         inst_path = tmp_path / "fun.json"
         report_path = tmp_path / "maj.json"

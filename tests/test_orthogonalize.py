@@ -22,6 +22,7 @@ from povmround import (
     select_projections,
     validate_pvm,
 )
+from povmround.algebra import hermitian_sqrt, projection_range
 from povmround.generators import (
     counterexample_triple,
     gen_instance,
@@ -33,7 +34,7 @@ from povmround.generators import (
 )
 from povmround.orthogonalize import _commutant_basis
 
-from conftest import kron_null_space_oracle, random_density, rng_for
+from conftest import kernel_completion_oracle, kron_null_space_oracle, random_density, rng_for
 
 
 def enumerate_abelian_pvms(alg, n):
@@ -121,6 +122,39 @@ class TestSelectProjections:
             assert sel.idempotency_residual <= 1e-9
 
 
+def _selected_column_maps(alg, a, projections):
+    """The column maps with rows q_i a_i^(1/2) that orthogonalize builds."""
+    roots = [hermitian_sqrt(e, 0.0, 1.0)[0] for e in a.elements]
+    return [
+        np.vstack([q.blocks[k] @ r.blocks[k] for q, r in zip(projections, roots)])
+        for k in range(alg.num_blocks)
+    ]
+
+
+def _map_with_singular_values(singular, rng):
+    """M_3 targets q_1, q_2 of ranks 2 and 1 and a column map x = Q y whose
+    square part y has the given singular values; returns (alg, targets, x)."""
+    alg = BlockAlgebra((3,))
+    targets = []
+    for diag in ([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]):
+        v = haar_unitary(rng, 3)
+        targets.append(alg.element([v @ np.diag(diag) @ v.conj().T]))
+    q_basis = np.zeros((6, 3), dtype=complex)
+    q_basis[:3, :2] = projection_range(targets[0].blocks[0])
+    q_basis[3:, 2:] = projection_range(targets[1].blocks[0])
+    y = haar_unitary(rng, 3) @ np.diag(singular) @ haar_unitary(rng, 3)
+    return alg, targets, q_basis @ y
+
+
+def _diag_targets(targets, k):
+    """diag(q_1, ..., q_n) of block k."""
+    d = targets[0].algebra.dims[k]
+    out = np.zeros((len(targets) * d, len(targets) * d), dtype=complex)
+    for i, q in enumerate(targets):
+        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = q.blocks[k]
+    return out
+
+
 class TestCompletePolar:
     def test_unitary_input_returned(self, m2):
         rng = rng_for(7)
@@ -135,7 +169,7 @@ class TestCompletePolar:
         assert np.allclose(u[0], [[1.0]])
 
     def test_rank_deficient_diagonal(self, m2):
-        # Hand SVD of diag(0.6, 0): polar part e11, kernel pairing sends e2 to e2.
+        # Hand SVD of diag(0.6, 0): the unitary polar factor is the identity.
         u = complete_polar(m2, [np.diag([0.6, 0.0]).astype(complex)], [m2.identity()])
         assert np.allclose(u[0], np.eye(2), atol=1e-12)
 
@@ -145,20 +179,72 @@ class TestCompletePolar:
         phi = random_density(alg, rng)
         a = random_povm_near_pvm(alg, 3, 0.2, rng)
         sel = select_projections(alg, phi, a)
-        from povmround.algebra import hermitian_sqrt
-
-        cols = [
-            np.vstack([
-                sel.projections[i].blocks[0] @ hermitian_sqrt(a.elements[i], 0, 1)[0].blocks[0]
-                for i in range(3)
-            ])
-        ]
+        cols = _selected_column_maps(alg, a, sel.projections)
         u = complete_polar(alg, cols, sel.projections)
         assert np.allclose(u[0].conj().T @ u[0], np.eye(3), atol=1e-10)
-        target = np.zeros((9, 9), dtype=complex)
-        for i in range(3):
-            target[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = sel.projections[i].blocks[0]
-        assert np.allclose(u[0] @ u[0].conj().T, target, atol=1e-10)
+        assert np.allclose(u[0] @ u[0].conj().T, _diag_targets(sel.projections, 0), atol=1e-10)
+
+    @pytest.mark.parametrize("d, n", list(itertools.product(range(3, 9), range(2, 5))))
+    def test_full_rank_matches_kernel_completion_oracle(self, d, n):
+        # The polar factor of a full-rank map is unique, so both constructions agree.
+        rng = rng_for(100 * d + n)
+        alg = BlockAlgebra((d,))
+        a = random_povm_near_pvm(alg, n, 0.2, rng)
+        sel = select_projections(alg, random_density(alg, rng), a)
+        cols = _selected_column_maps(alg, a, sel.projections)
+        assert np.linalg.svd(cols[0], compute_uv=False)[-1] > 1e-3
+        u = complete_polar(alg, cols, sel.projections)[0]
+        expected = kernel_completion_oracle(alg, cols, sel.projections)[0]
+        assert np.linalg.norm(u - expected) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "singular", [(1.0, 0.5, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1e-11, 1e-13)]
+    )
+    def test_rank_deficient_isometry_like_oracle(self, singular):
+        alg, targets, x = _map_with_singular_values(singular, rng_for(17))
+        target = _diag_targets(targets, 0)
+        for u in (
+            complete_polar(alg, [x], targets)[0],
+            kernel_completion_oracle(alg, [x], targets)[0],
+        ):
+            assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-12
+            assert np.linalg.norm(u @ u.conj().T - target) <= 1e-12
+
+    def test_polar_identity_exact_without_cutoff(self):
+        # Singular values far below rank_tol still satisfy x = u|x|.
+        alg, targets, x = _map_with_singular_values((1.0, 1e-11, 1e-13), rng_for(21))
+        _, s, vh = np.linalg.svd(x, full_matrices=False)
+        modulus = vh.conj().T @ np.diag(s) @ vh
+        u = complete_polar(alg, [x], targets)[0]
+        assert np.linalg.norm(x - u @ modulus) <= 1e-14
+
+    def test_svd_operands_are_square(self, monkeypatch):
+        rng = rng_for(23)
+        alg = BlockAlgebra((4, 2, 1))
+        a = random_povm_near_pvm(alg, 3, 0.2, rng)
+        sel = select_projections(alg, random_density(alg, rng), a)
+        cols = _selected_column_maps(alg, a, sel.projections)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        complete_polar(alg, cols, sel.projections)
+        assert shapes == [(d, d) for d in alg.dims]
+
+    @pytest.mark.parametrize(
+        "dims, n_columns, target_dims",
+        [((2, 2), 1, (2, 2)), ((2, 2), 2, (2,)), ((2,), 1, (3,))],
+        ids=["fewer-columns", "fewer-target-blocks", "other-target-dims"],
+    )
+    def test_mismatched_input_raises(self, dims, n_columns, target_dims):
+        alg = BlockAlgebra(dims)
+        cols = [np.eye(d, dtype=complex) for d in dims[:n_columns]]
+        with pytest.raises(PreconditionError, match="blocks|dimensions"):
+            complete_polar(alg, cols, [BlockAlgebra(target_dims).identity()])
 
     def test_rank_sum_violation_raises(self, m2):
         with pytest.raises(PreconditionError):
