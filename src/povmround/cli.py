@@ -181,6 +181,8 @@ def _sweep_config(seed: int, max_dim: int, max_outputs: int):
 def _cmd_sweep(args, tol: Tolerances):
     if args.count < 1:
         raise ValidationError("--count must be at least 1")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     if args.max_dim < 1:
         raise ValidationError("--max-dim must be at least 1")
     if not 2 <= args.max_outputs <= 16:

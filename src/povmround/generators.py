@@ -66,6 +66,8 @@ PARAM_PARSERS = {
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(int(seed))
 
 

@@ -45,10 +45,16 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _decode_entry(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValidationError(f"matrix entry {[re, im]} holds a boolean, not a number")
+    return complex(re, im)
+
+
 def _decode_matrix(data) -> np.ndarray:
     rows = []
     for row in data:
-        rows.append([complex(re, im) for re, im in row])
+        rows.append([_decode_entry(re, im) for re, im in row])
     return np.array(rows, dtype=complex)
 
 

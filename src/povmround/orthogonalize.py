@@ -9,11 +9,12 @@ eps0 = 1 - phi(sum_i a_i^2), the rounding proceeds in two stages:
    linear program over eigenspace items, solved exactly by a greedy top-d
    selection per central block.
 
-2. ``complete_polar``: take the tall block column x with rows q_i a_i^(1/2).
-   Since the ranks of the q_i sum to d_k, x = Q y for an orthonormal basis Q
-   of the direct sum of the q_i and a square y, and u = Q W with W the
-   unitary polar factor of y is an exact isometry with x = u |x|.  The
-   rounded projections are p_i = u_i^H q_i u_i, which sum to the identity by
+2. ``complete_polar``: the selection picks eigenvectors V_ki spanning each
+   q_i, r_ki of them with sum_i r_ki = d_k, so in those vectors the block
+   column x with rows q_i a_i^(1/2) is the square map y with rows
+   V_ki^H a_i^(1/2).  Its unitary polar factor w satisfies y = w |y| with
+   |y| = |x|, and with w_i the r_ki rows of w that belong to output i the
+   rounded projections are p_i = w_i^H w_i, which sum to the identity by
    construction.
 
 The output PVM satisfies sum_i phi(|a_i - p_i|^2) <= 9 * eps0, and the
@@ -54,7 +55,6 @@ from .algebra import (
     idempotency_residual,
     max_commutator,
     phi_distance_sq,
-    projection_range,
     require_valid,
     spectral_clusters,
     split_at_gaps,
@@ -90,7 +90,8 @@ SYMMETRY_TOL = 1e-8          # [commutant basis, p_i] residual
 class SelectionResult:
     """Commuting projections q_i with blockwise ranks summing to d_k."""
 
-    projections: list[AlgebraElement]
+    projections: list[AlgebraElement]  # q_i, with blocks bases[k][i] bases[k][i]^H
+    bases: list[list[np.ndarray]]  # bases[k][i]: d_k x r_ki orthonormal columns spanning q_i
     value: float                 # phi(sum_i q_i a_i), evaluated exactly
     lp_value: float              # optimum of the selection linear program
     ranks: list[list[int]]       # ranks[k][i] = rank of q_i in block k
@@ -103,7 +104,7 @@ class OrthCertificates:
     pvm_idempotency: float
     pvm_sum_residual: float
     midpoint_residual: float      # max_i || |x| p_i |x| - q_i a_i ||_F
-    polar_residual: float         # max block || x - u |x| ||_F
+    polar_residual: float         # max block || y - w |y| ||_F of the square map
     sqrt_clip: float              # largest eigenvalue clip applied before sqrt
     term_unselected: float        # sum_i phi((1 - q_i) a_i^2)
     term_modulus: float           # phi((1 - |x|)^2)
@@ -181,8 +182,7 @@ def select_projections(
         spectral_clusters(e, effective_cluster_tol(e, tol), tol.cert_tol) for e in a.elements
     ]
 
-    q_blocks = [[np.zeros((d, d), dtype=complex) for d in alg.dims] for _ in range(a.n)]
-    ranks = [[0] * a.n for _ in alg.dims]
+    bases = []
     lp_value = 0.0
 
     for k, d in enumerate(alg.dims):
@@ -206,77 +206,42 @@ def select_projections(
                         s = 0.0
                     items.append((s, i, -lam, j, basis @ v[:, j]))
         items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
+        picked = [[] for _ in range(a.n)]
         for s, i, _, _, vec in items[:d]:
-            q_blocks[i][k] += np.outer(vec, vec.conj())
-            ranks[k][i] += 1
+            picked[i].append(vec)
             lp_value += s
+        bases.append([
+            np.stack(vecs, axis=1) if vecs else np.zeros((d, 0), dtype=complex)
+            for vecs in picked
+        ])
 
-    projections = [AlgebraElement(alg, blocks) for blocks in q_blocks]
+    projections = [
+        AlgebraElement(alg, [row[i] @ row[i].conj().T for row in bases]) for i in range(a.n)
+    ]
+    ranks = [[v.shape[1] for v in row] for row in bases]
     value = sum(
         phi.expect(q @ e).real for q, e in zip(projections, a.elements)
     )
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
     idem = idempotency_residual(projections)
-    return SelectionResult(projections, value, lp_value, ranks, comm, idem)
+    return SelectionResult(projections, bases, value, lp_value, ranks, comm, idem)
 
 
-def complete_polar(
-    alg: BlockAlgebra,
-    columns: Sequence[np.ndarray],
-    targets: Sequence[AlgebraElement],
-) -> list[np.ndarray]:
-    """Isometric polar part of a tall block column map.
+def complete_polar(maps: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Unitary polar factor of each square map.
 
-    ``columns[k]`` is the (n*d_k, d_k) matrix of block rows landing in the
-    ranges of the target projections, whose ranks sum to d_k.  With Q an
-    orthonormal basis of range(diag(q_1, ..., q_n)), x = Q y for the square
-    y = Q^H x, and u = Q W for the unitary polar factor W of y.  Per block u
-    satisfies u^H u = 1, u u^H = diag(q_1, ..., q_n) and x = u |x| exactly,
-    with no rank cutoff: W stays unitary when y is singular.
+    ``maps[k]`` is a d_k x d_k matrix y; the returned w = U V^H from its SVD
+    y = U S V^H is unitary and satisfies y = w |y| exactly, with no rank
+    cutoff: w stays unitary when y is singular (Higham 1986).
     """
-    n = len(targets)
-    if len(columns) != alg.num_blocks:
-        raise PreconditionError(
-            f"{len(columns)} column maps for an algebra of {alg.num_blocks} blocks"
-        )
-    for i, q in enumerate(targets):
-        if q.algebra.dims != alg.dims:
-            raise PreconditionError(
-                f"target {i} has block dimensions {q.algebra.dims}, expected {alg.dims}"
-            )
-    isometries = []
-    for k, d in enumerate(alg.dims):
-        x = np.asarray(columns[k], dtype=complex)
-        if x.shape != (n * d, d):
-            raise PreconditionError(
-                f"block {k}: column map has shape {x.shape}, expected {(n * d, d)}"
-            )
-        # Orthonormal basis of range(diag(q_i)), stacked at the block offsets.
-        range_cols = []
-        rank_sum = 0
-        for i, q in enumerate(targets):
-            basis = projection_range(q.blocks[k])
-            r = basis.shape[1]
-            rank_sum += r
-            if r:
-                emb = np.zeros((n * d, r), dtype=complex)
-                emb[i * d : (i + 1) * d, :] = basis
-                range_cols.append(emb)
-        if rank_sum != d:
-            raise PreconditionError(
-                f"block {k}: target ranks sum to {rank_sum}, expected {d}"
-            )
-        q_basis = np.hstack(range_cols)
-
-        y = q_basis.conj().T @ x
-        out_of_range = np.linalg.norm(x - q_basis @ y)
-        if out_of_range > 1e-7 * max(1.0, float(np.linalg.norm(x))):
-            raise PreconditionError(
-                f"block {k}: columns leave the target range by {out_of_range:.3e}"
-            )
+    factors = []
+    for k, y in enumerate(maps):
+        y = np.asarray(y, dtype=complex)
+        if y.ndim != 2 or y.shape[0] != y.shape[1]:
+            raise PreconditionError(f"block {k}: map has shape {y.shape}, expected a square matrix")
         w, _, vh = np.linalg.svd(y)
-        isometries.append(q_basis @ (w @ vh))
-    return isometries
+        factors.append(w @ vh)
+    return factors
 
 
 def orthogonalize(
@@ -284,9 +249,10 @@ def orthogonalize(
 ) -> OrthReport:
     """Round a POVM to the certified nearby PVM.
 
-    Builds the column map x with rows q_i a_i^(1/2) from the selected
-    projections, takes its isometric polar part u with range diag(q_i), and
-    returns p_i = u_i^H q_i u_i.  The error satisfies
+    In the selected eigenvectors V_ki the column map with rows q_i a_i^(1/2)
+    is the square map y_k with rows V_ki^H a_i^(1/2).  With w its unitary
+    polar factor and w_i the r_ki rows of w that belong to output i, the
+    output is p_i = w_i^H w_i.  The error satisfies
     sum_i phi(|a_i - p_i|^2) <= 9 * defect up to certificate tolerance.
     """
     eps0 = defect(phi, a)
@@ -299,30 +265,24 @@ def orthogonalize(
         roots.append(root)
         clip = max(clip, c)
 
-    columns = []
-    for k, d in enumerate(alg.dims):
-        col = np.vstack([
-            sel.projections[i].blocks[k] @ roots[i].blocks[k] for i in range(a.n)
-        ])
-        columns.append(col)
-    u = complete_polar(alg, columns, sel.projections)
+    maps = [
+        np.vstack([v.conj().T @ roots[i].blocks[k] for i, v in enumerate(sel.bases[k])])
+        for k in range(alg.num_blocks)
+    ]
+    w = complete_polar(maps)
 
-    p_elements = []
-    for i in range(a.n):
-        blocks = []
-        for k, d in enumerate(alg.dims):
-            rows = u[k][i * d : (i + 1) * d, :]
-            p = rows.conj().T @ sel.projections[i].blocks[k] @ rows
-            blocks.append(hermitian_part(p))
-        p_elements.append(AlgebraElement(alg, blocks))
-    pvm = Pvm(alg, p_elements)
+    p_blocks = [  # p_blocks[k][i] = w_i^H w_i
+        [hermitian_part(wi.conj().T @ wi) for wi in np.split(wk, np.cumsum(ranks)[:-1])]
+        for wk, ranks in zip(w, sel.ranks)
+    ]
+    pvm = Pvm(alg, [AlgebraElement(alg, [row[i] for row in p_blocks]) for i in range(a.n)])
 
     error = phi_distance_sq(phi, a.elements, pvm.elements)
 
     # Certificates of the construction identities and of the three bound terms.
-    modulus, _ = hermitian_sqrt(AlgebraElement(alg, [x.conj().T @ x for x in columns]))
+    modulus, _ = hermitian_sqrt(AlgebraElement(alg, [y.conj().T @ y for y in maps]))
     polar_residual = max(
-        float(np.linalg.norm(x - uk @ mod)) for x, uk, mod in zip(columns, u, modulus.blocks)
+        float(np.linalg.norm(y - wk @ mod)) for y, wk, mod in zip(maps, w, modulus.blocks)
     )
 
     midpoint = 0.0

@@ -180,6 +180,68 @@ def kernel_completion_oracle(
     return isometries
 
 
+def range_basis_polar_oracle(
+    alg: BlockAlgebra,
+    columns: Sequence[np.ndarray],
+    targets: Sequence[AlgebraElement],
+) -> list[np.ndarray]:
+    """Isometric polar part of a tall block column map.
+
+    ``columns[k]`` is the (n*d_k, d_k) matrix of block rows landing in the
+    ranges of the target projections, whose ranks sum to d_k.  With Q an
+    orthonormal basis of range(diag(q_1, ..., q_n)), x = Q y for the square
+    y = Q^H x, and u = Q W for the unitary polar factor W of y.  Per block u
+    satisfies u^H u = 1, u u^H = diag(q_1, ..., q_n) and x = u |x| exactly,
+    with no rank cutoff: W stays unitary when y is singular.
+
+    This decodes the targets again through an orthonormal range basis; the
+    square map in the selected eigenvectors replaced it.  Used as a test oracle.
+    """
+    n = len(targets)
+    if len(columns) != alg.num_blocks:
+        raise PreconditionError(
+            f"{len(columns)} column maps for an algebra of {alg.num_blocks} blocks"
+        )
+    for i, q in enumerate(targets):
+        if q.algebra.dims != alg.dims:
+            raise PreconditionError(
+                f"target {i} has block dimensions {q.algebra.dims}, expected {alg.dims}"
+            )
+    isometries = []
+    for k, d in enumerate(alg.dims):
+        x = np.asarray(columns[k], dtype=complex)
+        if x.shape != (n * d, d):
+            raise PreconditionError(
+                f"block {k}: column map has shape {x.shape}, expected {(n * d, d)}"
+            )
+        # Orthonormal basis of range(diag(q_i)), stacked at the block offsets.
+        range_cols = []
+        rank_sum = 0
+        for i, q in enumerate(targets):
+            basis = projection_range(q.blocks[k])
+            r = basis.shape[1]
+            rank_sum += r
+            if r:
+                emb = np.zeros((n * d, r), dtype=complex)
+                emb[i * d : (i + 1) * d, :] = basis
+                range_cols.append(emb)
+        if rank_sum != d:
+            raise PreconditionError(
+                f"block {k}: target ranks sum to {rank_sum}, expected {d}"
+            )
+        q_basis = np.hstack(range_cols)
+
+        y = q_basis.conj().T @ x
+        out_of_range = np.linalg.norm(x - q_basis @ y)
+        if out_of_range > 1e-7 * max(1.0, float(np.linalg.norm(x))):
+            raise PreconditionError(
+                f"block {k}: columns leave the target range by {out_of_range:.3e}"
+            )
+        w, _, vh = np.linalg.svd(y)
+        isometries.append(q_basis @ (w @ vh))
+    return isometries
+
+
 @pytest.fixture
 def m2():
     return BlockAlgebra((2,))

@@ -1,0 +1,17 @@
+"""The benchmark's self-test runs in the test suite, so renaming or dropping a
+name the tracer wraps (``complete_polar``, ``hermitian_sqrt`` ...) fails here
+and not only in a benchmark run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

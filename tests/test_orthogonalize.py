@@ -22,7 +22,13 @@ from povmround import (
     select_projections,
     validate_pvm,
 )
-from povmround.algebra import hermitian_sqrt, projection_range
+from povmround.algebra import (
+    DEFAULT_TOL,
+    effective_cluster_tol,
+    hermitian_sqrt,
+    projection_range,
+    spectral_clusters,
+)
 from povmround.generators import (
     counterexample_triple,
     gen_instance,
@@ -34,7 +40,13 @@ from povmround.generators import (
 )
 from povmround.orthogonalize import _commutant_basis
 
-from conftest import kernel_completion_oracle, kron_null_space_oracle, random_density, rng_for
+from conftest import (
+    kernel_completion_oracle,
+    kron_null_space_oracle,
+    random_density,
+    range_basis_polar_oracle,
+    rng_for,
+)
 
 
 def enumerate_abelian_pvms(alg, n):
@@ -115,6 +127,10 @@ class TestSelectProjections:
             sel = select_projections(alg, phi, a)
             for k, d in enumerate(alg.dims):
                 assert sum(sel.ranks[k]) == d
+                for i, v in enumerate(sel.bases[k]):
+                    assert v.shape == (d, sel.ranks[k][i])
+                    assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-12
+                    assert np.array_equal(v @ v.conj().T, sel.projections[i].blocks[k])
             feas = sum(phi.expect(e @ e).real for e in a.elements)
             assert sel.lp_value >= feas - 1e-9
             assert sel.value >= 1.0 - defect(phi, a) - 1e-9
@@ -123,7 +139,7 @@ class TestSelectProjections:
 
 
 def _selected_column_maps(alg, a, projections):
-    """The column maps with rows q_i a_i^(1/2) that orthogonalize builds."""
+    """The tall column maps with rows q_i a_i^(1/2) that the oracles take."""
     roots = [hermitian_sqrt(e, 0.0, 1.0)[0] for e in a.elements]
     return [
         np.vstack([q.blocks[k] @ r.blocks[k] for q, r in zip(projections, roots)])
@@ -131,19 +147,38 @@ def _selected_column_maps(alg, a, projections):
     ]
 
 
+def _selected_square_maps(alg, a, sel):
+    """The square maps with rows V_ki^H a_i^(1/2) that orthogonalize builds."""
+    roots = [hermitian_sqrt(e, 0.0, 1.0)[0] for e in a.elements]
+    return [
+        np.vstack([v.conj().T @ r.blocks[k] for v, r in zip(sel.bases[k], roots)])
+        for k in range(alg.num_blocks)
+    ]
+
+
+def _stacked_basis(bases, d):
+    """The isometry Q with n*d rows and the bases V_i at the block offsets of output i."""
+    n = len(bases)
+    q_basis = np.zeros((n * d, sum(v.shape[1] for v in bases)), dtype=complex)
+    col = 0
+    for i, v in enumerate(bases):
+        q_basis[i * d : (i + 1) * d, col : col + v.shape[1]] = v
+        col += v.shape[1]
+    return q_basis
+
+
 def _map_with_singular_values(singular, rng):
-    """M_3 targets q_1, q_2 of ranks 2 and 1 and a column map x = Q y whose
-    square part y has the given singular values; returns (alg, targets, x)."""
+    """M_3 targets q_1, q_2 of ranks 2 and 1, the stacked basis Q of their
+    ranges and a square map y with the given singular values; the column map
+    is x = Q y.  Returns (alg, targets, Q, y)."""
     alg = BlockAlgebra((3,))
     targets = []
     for diag in ([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]):
         v = haar_unitary(rng, 3)
         targets.append(alg.element([v @ np.diag(diag) @ v.conj().T]))
-    q_basis = np.zeros((6, 3), dtype=complex)
-    q_basis[:3, :2] = projection_range(targets[0].blocks[0])
-    q_basis[3:, 2:] = projection_range(targets[1].blocks[0])
+    q_basis = _stacked_basis([projection_range(q.blocks[0]) for q in targets], 3)
     y = haar_unitary(rng, 3) @ np.diag(singular) @ haar_unitary(rng, 3)
-    return alg, targets, q_basis @ y
+    return alg, targets, q_basis, y
 
 
 def _diag_targets(targets, k):
@@ -156,74 +191,88 @@ def _diag_targets(targets, k):
 
 
 class TestCompletePolar:
-    def test_unitary_input_returned(self, m2):
+    def test_unitary_input_returned(self):
         rng = rng_for(7)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         q, _ = np.linalg.qr(g)
-        u = complete_polar(m2, [q], [m2.identity()])
-        assert np.allclose(u[0], q, atol=1e-12)
+        w = complete_polar([q])
+        assert np.allclose(w[0], q, atol=1e-12)
 
     def test_zero_on_one_dim_block(self):
-        alg = BlockAlgebra((1,))
-        u = complete_polar(alg, [np.zeros((1, 1))], [alg.identity()])
-        assert np.allclose(u[0], [[1.0]])
+        w = complete_polar([np.zeros((1, 1))])
+        assert np.allclose(w[0], [[1.0]])
 
-    def test_rank_deficient_diagonal(self, m2):
+    def test_rank_deficient_diagonal(self):
         # Hand SVD of diag(0.6, 0): the unitary polar factor is the identity.
-        u = complete_polar(m2, [np.diag([0.6, 0.0]).astype(complex)], [m2.identity()])
-        assert np.allclose(u[0], np.eye(2), atol=1e-12)
+        w = complete_polar([np.diag([0.6, 0.0]).astype(complex)])
+        assert np.allclose(w[0], np.eye(2), atol=1e-12)
 
     def test_isometry_and_range_properties(self):
+        # In the selected eigenvectors the column map is x = Q y, so Q w is
+        # the isometric polar part of x with range diag(q_i).
         rng = rng_for(11)
         alg = BlockAlgebra((3,))
         phi = random_density(alg, rng)
         a = random_povm_near_pvm(alg, 3, 0.2, rng)
         sel = select_projections(alg, phi, a)
-        cols = _selected_column_maps(alg, a, sel.projections)
-        u = complete_polar(alg, cols, sel.projections)
-        assert np.allclose(u[0].conj().T @ u[0], np.eye(3), atol=1e-10)
-        assert np.allclose(u[0] @ u[0].conj().T, _diag_targets(sel.projections, 0), atol=1e-10)
+        x = _selected_column_maps(alg, a, sel.projections)[0]
+        y = _selected_square_maps(alg, a, sel)[0]
+        q_basis = _stacked_basis(sel.bases[0], 3)
+        assert np.allclose(x, q_basis @ y, atol=1e-12)
+        u = q_basis @ complete_polar([y])[0]
+        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
+        assert np.allclose(u @ u.conj().T, _diag_targets(sel.projections, 0), atol=1e-10)
 
     @pytest.mark.parametrize("d, n", list(itertools.product(range(3, 9), range(2, 5))))
     def test_full_rank_matches_kernel_completion_oracle(self, d, n):
-        # The polar factor of a full-rank map is unique, so both constructions agree.
+        # The polar factor of a full-rank map is unique, so the PVM p_i = w_i^H w_i
+        # agrees with p_i = u_i^H q_i u_i from both tall-map constructions.
         rng = rng_for(100 * d + n)
         alg = BlockAlgebra((d,))
         a = random_povm_near_pvm(alg, n, 0.2, rng)
-        sel = select_projections(alg, random_density(alg, rng), a)
+        phi = random_density(alg, rng)
+        sel = select_projections(alg, phi, a)
         cols = _selected_column_maps(alg, a, sel.projections)
         assert np.linalg.svd(cols[0], compute_uv=False)[-1] > 1e-3
-        u = complete_polar(alg, cols, sel.projections)[0]
-        expected = kernel_completion_oracle(alg, cols, sel.projections)[0]
-        assert np.linalg.norm(u - expected) <= 1e-10
+        pvm = orthogonalize(alg, phi, a).pvm
+        for oracle in (kernel_completion_oracle, range_basis_polar_oracle):
+            u = oracle(alg, cols, sel.projections)[0]
+            for i, q in enumerate(sel.projections):
+                ui = u[i * d : (i + 1) * d, :]
+                expected = ui.conj().T @ q.blocks[0] @ ui
+                assert np.linalg.norm(pvm.elements[i].blocks[0] - expected) <= 1e-10
 
     @pytest.mark.parametrize(
         "singular", [(1.0, 0.5, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1e-11, 1e-13)]
     )
     def test_rank_deficient_isometry_like_oracle(self, singular):
-        alg, targets, x = _map_with_singular_values(singular, rng_for(17))
+        alg, targets, q_basis, y = _map_with_singular_values(singular, rng_for(17))
+        w = complete_polar([y])[0]
+        assert np.linalg.norm(w.conj().T @ w - np.eye(3)) <= 1e-12
+        assert np.linalg.norm(w @ w.conj().T - np.eye(3)) <= 1e-12
         target = _diag_targets(targets, 0)
+        x = q_basis @ y
         for u in (
-            complete_polar(alg, [x], targets)[0],
+            q_basis @ w,
             kernel_completion_oracle(alg, [x], targets)[0],
+            range_basis_polar_oracle(alg, [x], targets)[0],
         ):
             assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-12
             assert np.linalg.norm(u @ u.conj().T - target) <= 1e-12
 
     def test_polar_identity_exact_without_cutoff(self):
-        # Singular values far below rank_tol still satisfy x = u|x|.
-        alg, targets, x = _map_with_singular_values((1.0, 1e-11, 1e-13), rng_for(21))
-        _, s, vh = np.linalg.svd(x, full_matrices=False)
+        # Singular values far below rank_tol still satisfy y = w|y|.
+        _, _, _, y = _map_with_singular_values((1.0, 1e-11, 1e-13), rng_for(21))
+        _, s, vh = np.linalg.svd(y)
         modulus = vh.conj().T @ np.diag(s) @ vh
-        u = complete_polar(alg, [x], targets)[0]
-        assert np.linalg.norm(x - u @ modulus) <= 1e-14
+        w = complete_polar([y])[0]
+        assert np.linalg.norm(y - w @ modulus) <= 1e-14
 
     def test_svd_operands_are_square(self, monkeypatch):
         rng = rng_for(23)
         alg = BlockAlgebra((4, 2, 1))
         a = random_povm_near_pvm(alg, 3, 0.2, rng)
-        sel = select_projections(alg, random_density(alg, rng), a)
-        cols = _selected_column_maps(alg, a, sel.projections)
+        phi = random_density(alg, rng)
         shapes = []
         svd = np.linalg.svd
 
@@ -232,27 +281,15 @@ class TestCompletePolar:
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        complete_polar(alg, cols, sel.projections)
+        orthogonalize(alg, phi, a)
         assert shapes == [(d, d) for d in alg.dims]
 
-    @pytest.mark.parametrize(
-        "dims, n_columns, target_dims",
-        [((2, 2), 1, (2, 2)), ((2, 2), 2, (2,)), ((2,), 1, (3,))],
-        ids=["fewer-columns", "fewer-target-blocks", "other-target-dims"],
-    )
-    def test_mismatched_input_raises(self, dims, n_columns, target_dims):
-        alg = BlockAlgebra(dims)
-        cols = [np.eye(d, dtype=complex) for d in dims[:n_columns]]
-        with pytest.raises(PreconditionError, match="blocks|dimensions"):
-            complete_polar(alg, cols, [BlockAlgebra(target_dims).identity()])
-
-    def test_rank_sum_violation_raises(self, m2):
-        with pytest.raises(PreconditionError):
-            complete_polar(
-                m2,
-                [np.zeros((2, 2))],
-                [m2.diagonal([[1, 0]])],  # rank 1 != block dim 2
-            )
+    def test_rank_sum_violation_raises(self):
+        # Bases of total rank 1 on a 2-dimensional block give a wide map; the
+        # tall (n*d, d) column map of the projections is not square either.
+        for shape in [(1, 2), (4, 2), (2,)]:
+            with pytest.raises(PreconditionError, match="square"):
+                complete_polar([np.eye(2, dtype=complex), np.zeros(shape)])
 
 
 class TestOrthogonalize:
@@ -328,6 +365,33 @@ class TestOrthogonalize:
             rep = orthogonalize(alg, phi, a)
             best = min_abelian_error(alg, phi, a)
             assert best - 1e-12 <= rep.error <= 9 * rep.defect + 1e-7
+
+    def test_no_projection_is_diagonalized_again(self, monkeypatch):
+        # eigh runs once per (output, block) for the spectral clusters, once per
+        # cluster for the selection scores, once per (output, block) for
+        # a_i^(1/2) and once per block for the modulus: never on a q_i block.
+        rng = rng_for(5)
+        alg = BlockAlgebra((2, 2, 3, 1))
+        a = random_povm_near_pvm(alg, 3, 0.2, rng)
+        phi = random_density(alg, rng)
+        clusters = sum(
+            len(block)
+            for e in a.elements
+            for block in spectral_clusters(
+                e, effective_cluster_tol(e, DEFAULT_TOL), DEFAULT_TOL.cert_tol
+            ).blocks
+        )
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        orthogonalize(alg, phi, a)
+        n, blocks = a.n, alg.num_blocks
+        assert len(calls) == 2 * n * blocks + clusters + blocks == 52
 
     def test_ratio_inf_safe(self, m2, trace_state_m2):
         p = Povm(m2, [m2.diagonal([[1, 0]]), m2.diagonal([[0, 1]])])

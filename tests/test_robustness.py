@@ -97,6 +97,17 @@ class TestMalformedValues:
         assert named in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "random_povm_near_pvm", "--seed", "-1", "--out", "{out}"],
+        ["sweep", "--count", "2", "--seed", "-5", "--out", "{out}"],
+    ], ids=["gen", "sweep"])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.json"
+        assert main([item.format(out=out) for item in argv]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gen_writes_no_report(tmp_path, monkeypatch):
     def no_digest(path):
         raise AssertionError("gen read back its own output")
@@ -149,6 +160,16 @@ class TestMalformedFiles:
         path.write_text(json.dumps(content))
         assert main(["orthogonalize", "--in", str(path)]) == 2
         assert "povmround: " in capsys.readouterr().err
+
+    def test_boolean_matrix_entry(self, tmp_path, capsys):
+        # A linfty2_family file with its 1.0 entries written as [true, false].
+        path = tmp_path / "lin.json"
+        assert main(["gen", "--kind", "linfty2_family", "--param", "c=0.1", "--out", str(path)]) == 0
+        text = json.dumps(json.loads(path.read_text()))
+        assert "[1.0, 0.0]" in text
+        path.write_text(text.replace("[1.0, 0.0]", "[true, false]"))
+        assert main(["orthogonalize", "--in", str(path)]) == 2
+        assert "boolean" in capsys.readouterr().err
 
     def test_directory_as_input(self, tmp_path):
         assert main(["orthogonalize", "--in", str(tmp_path)]) == 2
