@@ -13,14 +13,12 @@ Core entry points:
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
-    Cluster,
     Povm,
     PovmRoundError,
     PreconditionError,
     Pvm,
     ShapeMismatchError,
     SolverError,
-    SpectralClusters,
     State,
     SubAlgebra,
     Tolerances,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "BlockAlgebra",
-    "Cluster",
     "CompressedPovm",
     "FunctionalFamily",
     "GeneratedAlgebra",
@@ -81,7 +78,6 @@ __all__ = [
     "SelectionResult",
     "ShapeMismatchError",
     "SolverError",
-    "SpectralClusters",
     "State",
     "SubAlgebra",
     "SymmetricOrthReport",

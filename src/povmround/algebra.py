@@ -6,7 +6,8 @@ square complex blocks, states are tuples of PSD density blocks with unit
 total trace, and a POVM is a tuple of positive elements summing to the
 identity.  This module holds the data model plus the small set of numerical
 primitives the rounding/repair/majorant solvers are built from: validation,
-the state seminorm, the orthogonality defect, and eigenvalue clustering.
+the state seminorm, the orthogonality defect, and the per-block eigenpairs
+that square roots and eigenvalue clusters are both read from.
 ``BoundCheck`` is the one record every solver report uses for its certified
 bounds, and ``SubAlgebra`` the one sub-algebra type (repair's commutant,
 symmetry mode's generated algebra).
@@ -74,11 +75,10 @@ class Tolerances:
     """Numerical tolerances used across the package.
 
     cluster_tol groups nearby eigenvalues of each POVM element for the
-    projection selection (scaled by the element's spectral radius), rank_tol
-    is the relative singular-value cutoff of the symmetry-mode commutant
-    solve and nothing else, psd_tol is the allowed negativity
-    slack for positivity checks, and cert_tol is the residual allowed in
-    exact-identity certificates.  The minimal-majorant
+    projection selection, rank_tol is the relative singular-value cutoff of
+    the symmetry-mode commutant solve and nothing else, psd_tol is the
+    allowed negativity slack for positivity checks, and cert_tol is the
+    residual allowed in exact-identity certificates.  The minimal-majorant
     barrier solver shrinks mu by mu_shrink per stage, centers each stage to
     gradient norm newton_tol, stops at a certified gap of gap_tol (relative to
     the family's scale), and takes at most max_iters Newton steps per stage
@@ -238,26 +238,34 @@ class AlgebraElement:
         return [np.linalg.eigvalsh(hermitian_part(a)) for a in self.blocks]
 
     def spectral_radius(self) -> float:
-        return max(float(np.abs(w).max()) if w.size else 0.0 for w in self.eigvals())
+        return max(float(np.abs(w).max()) for w in self.eigvals())
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.algebra.dims})"
 
 
-def hermitian_sqrt(x: AlgebraElement, lo: float = 0.0, hi: float = np.inf) -> tuple[AlgebraElement, float]:
-    """PSD square root with eigenvalues clipped to [lo, hi].
+def hermitian_eigh(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-block eigenpairs (w ascending, v) of the Hermitian part: the one
+    decomposition of an element that its square root and its spectral
+    clusters both read."""
+    return [np.linalg.eigh(hermitian_part(a)) for a in x.blocks]
+
+
+def hermitian_sqrt(
+    alg: BlockAlgebra, eigs: Sequence[tuple[np.ndarray, np.ndarray]],
+    lo: float = 0.0, hi: float = np.inf,
+) -> tuple[AlgebraElement, float]:
+    """PSD square root from per-block eigenpairs, eigenvalues clipped to [lo, hi].
 
     Returns the root and the largest clip applied to any eigenvalue.
     """
     roots = []
     clip = 0.0
-    for a in x.blocks:
-        w, v = np.linalg.eigh(hermitian_part(a))
+    for w, v in eigs:
         wc = np.clip(w, lo, hi)
-        if w.size:
-            clip = max(clip, float(np.abs(w - wc).max()))
+        clip = max(clip, float(np.abs(w - wc).max()))
         roots.append((v * np.sqrt(wc)) @ v.conj().T)
-    return AlgebraElement(x.algebra, roots), clip
+    return AlgebraElement(alg, roots), clip
 
 
 def projection_range(block: np.ndarray) -> np.ndarray:
@@ -394,9 +402,8 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
     excess = 0.0
     for e in a.elements:
         for w in e.eigvals():
-            if w.size:
-                neg = max(neg, float(max(0.0, -w.min())))
-                excess = max(excess, float(max(0.0, w.max() - 1.0)))
+            neg = max(neg, float(max(0.0, -w.min())))
+            excess = max(excess, float(max(0.0, w.max() - 1.0)))
     sum_residual = a.sum_residual()
     herm = a.hermitization_residual
     ok = (
@@ -460,25 +467,6 @@ def commutator_phi_norm_sq(phi: State, x: AlgebraElement, y: AlgebraElement) -> 
     return phi_norm_sq(phi, x.commutator(y))
 
 
-@dataclass
-class Cluster:
-    """One clustered eigenspace: representative eigenvalue and an orthonormal basis."""
-
-    value: float
-    basis: np.ndarray  # (d, multiplicity), orthonormal columns
-
-    @property
-    def multiplicity(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass
-class SpectralClusters:
-    """Per-block eigenvalue clusters of a Hermitian element, values descending."""
-
-    blocks: tuple[tuple[Cluster, ...], ...]
-
-
 def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split eigenpairs (w descending, v's columns alongside) into runs: a new
     run starts wherever w[j - 1] - w[j] exceeds gap.  Returns (values, basis
@@ -492,27 +480,20 @@ def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[np.nda
     return runs
 
 
-def spectral_clusters(h: AlgebraElement, cluster_tol: float, cert_tol: float = 1e-9) -> SpectralClusters:
-    """Cluster the spectrum of a Hermitian element by gaps above cluster_tol.
+def spectral_clusters(
+    eigs: Sequence[tuple[np.ndarray, np.ndarray]], cluster_tol: float
+) -> list[list[tuple[float, np.ndarray]]]:
+    """Per-block (value, basis) clusters of per-block eigenpairs, values descending.
 
-    Eigenvalues are sorted descending per block; a new cluster starts whenever
-    the gap to the previous eigenvalue exceeds cluster_tol.  The cluster
-    representative is the mean of its eigenvalues.
+    A new cluster starts whenever the gap to the previous eigenvalue exceeds
+    cluster_tol; the value is the mean of the cluster's eigenvalues and the
+    basis its (d, multiplicity) orthonormal eigenvector columns.
     """
-    skew = h.skew_norm()
-    if skew > cert_tol * max(1.0, h.norm_fro()):
-        raise ValidationError(f"element is not Hermitian (skew norm {skew:.3e})")
-    out = []
-    for a in h.blocks:
-        w, v = np.linalg.eigh(hermitian_part(a))
-        runs = split_at_gaps(w[::-1], v[:, ::-1], cluster_tol)
-        out.append(tuple(Cluster(float(vals.mean()), basis) for vals, basis in runs))
-    return SpectralClusters(tuple(out))
-
-
-def effective_cluster_tol(h: AlgebraElement, tol: Tolerances) -> float:
-    """Scale-aware clustering threshold: cluster_tol times max(1, spectral radius)."""
-    return tol.cluster_tol * max(1.0, h.spectral_radius())
+    return [
+        [(float(vals.mean()), basis)
+         for vals, basis in split_at_gaps(w[::-1], v[:, ::-1], cluster_tol)]
+        for w, v in eigs
+    ]
 
 
 @dataclass

@@ -68,8 +68,10 @@ class FunctionalFamily:
         for i, e in enumerate(self.elements):
             if e.skew_norm() > tol.cert_tol * max(1.0, e.norm_fro()):
                 raise ValidationError(f"functional {i} is not Hermitian")
-            low = min(float(w.min()) for w in e.eigvals())
-            if low < -tol.psd_tol * max(1.0, e.spectral_radius()):
+            eigs = e.eigvals()
+            low = min(float(w.min()) for w in eigs)
+            radius = max(float(np.abs(w).max()) for w in eigs)
+            if low < -tol.psd_tol * max(1.0, radius):
                 raise ValidationError(
                     f"functional {i} is not positive (min eigenvalue {low:.3e})"
                 )

@@ -7,7 +7,8 @@ eps0 = 1 - phi(sum_i a_i^2), the rounding proceeds in two stages:
    blockwise ranks sum to the block dimension and which carry almost all of
    the state mass, phi(sum_i q_i a_i) >= 1 - eps0.  This is a decoupled
    linear program over eigenspace items, solved exactly by a greedy top-d
-   selection per central block.
+   selection per central block.  The items come from one eigendecomposition
+   of each a_i, which the next step reuses for a_i^(1/2).
 
 2. ``complete_polar``: the selection picks eigenvectors V_ki spanning each
    q_i, r_ki of them with sum_i r_ki = d_k, so in those vectors the block
@@ -49,7 +50,7 @@ from .algebra import (
     check_geq,
     check_leq,
     defect,
-    effective_cluster_tol,
+    hermitian_eigh,
     hermitian_part,
     hermitian_sqrt,
     idempotency_residual,
@@ -92,6 +93,7 @@ class SelectionResult:
 
     projections: list[AlgebraElement]  # q_i, with blocks bases[k][i] bases[k][i]^H
     bases: list[list[np.ndarray]]  # bases[k][i]: d_k x r_ki orthonormal columns spanning q_i
+    eigenpairs: list[list[tuple[np.ndarray, np.ndarray]]]  # eigenpairs[i]: hermitian_eigh(a_i)
     value: float                 # phi(sum_i q_i a_i), evaluated exactly
     lp_value: float              # optimum of the selection linear program
     ranks: list[list[int]]       # ranks[k][i] = rank of q_i in block k
@@ -177,10 +179,10 @@ def select_projections(
 
     # Pool of candidate rank-one items per block.  An item is one eigenvector
     # of the compressed score matrix lambda * B^H rho B of one spectral
-    # cluster (lambda, B) of one output.
-    clusters_per_output = [
-        spectral_clusters(e, effective_cluster_tol(e, tol), tol.cert_tol) for e in a.elements
-    ]
+    # cluster (lambda, B) of one output; a cluster of multiplicity 1 is one
+    # item, its 1 x 1 score matrix needs no eigh.
+    eigenpairs = [hermitian_eigh(e) for e in a.elements]
+    clusters_per_output = [spectral_clusters(eigs, tol.cluster_tol) for eigs in eigenpairs]
 
     bases = []
     lp_value = 0.0
@@ -189,14 +191,15 @@ def select_projections(
         rho = phi.densities[k]
         items = []  # (score, output, -eigenvalue, vec_index, vector)
         for i in range(a.n):
-            for cluster in clusters_per_output[i].blocks[k]:
-                lam = cluster.value
-                basis = cluster.basis
-                w, v = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
-                w = w[::-1]
-                v = v[:, ::-1]
-                for j in range(len(w)):
-                    s = float(w[j])
+            for lam, basis in clusters_per_output[i][k]:
+                scores = lam * (basis.conj().T @ rho @ basis)
+                if basis.shape[1] == 1:
+                    pairs = [(scores[0, 0].real, basis[:, 0])]
+                else:
+                    w, v = np.linalg.eigh(hermitian_part(scores))
+                    pairs = [(w[j], basis @ v[:, j]) for j in reversed(range(len(w)))]
+                for j, (s, vec) in enumerate(pairs):
+                    s = float(s)
                     if s < -tol.cert_tol:
                         warnings.warn(
                             f"selection score {s:.3e} below -cert_tol clipped to 0 "
@@ -204,7 +207,7 @@ def select_projections(
                             RuntimeWarning,
                         )
                         s = 0.0
-                    items.append((s, i, -lam, j, basis @ v[:, j]))
+                    items.append((s, i, -lam, j, vec))
         items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
         picked = [[] for _ in range(a.n)]
         for s, i, _, _, vec in items[:d]:
@@ -224,7 +227,7 @@ def select_projections(
     )
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
     idem = idempotency_residual(projections)
-    return SelectionResult(projections, bases, value, lp_value, ranks, comm, idem)
+    return SelectionResult(projections, bases, eigenpairs, value, lp_value, ranks, comm, idem)
 
 
 def complete_polar(maps: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -260,8 +263,8 @@ def orthogonalize(
 
     roots = []
     clip = 0.0
-    for e in a.elements:
-        root, c = hermitian_sqrt(e, 0.0, 1.0)
+    for eigs in sel.eigenpairs:
+        root, c = hermitian_sqrt(alg, eigs, 0.0, 1.0)
         roots.append(root)
         clip = max(clip, c)
 
@@ -280,7 +283,8 @@ def orthogonalize(
     error = phi_distance_sq(phi, a.elements, pvm.elements)
 
     # Certificates of the construction identities and of the three bound terms.
-    modulus, _ = hermitian_sqrt(AlgebraElement(alg, [y.conj().T @ y for y in maps]))
+    gram = AlgebraElement(alg, [y.conj().T @ y for y in maps])
+    modulus, _ = hermitian_sqrt(alg, hermitian_eigh(gram))
     polar_residual = max(
         float(np.linalg.norm(y - wk @ mod)) for y, wk, mod in zip(maps, w, modulus.blocks)
     )

@@ -8,12 +8,13 @@ from povmround import (
     BlockAlgebra,
     FunctionalFamily,
     MajorantSolution,
+    Povm,
     PreconditionError,
     SolverError,
     State,
     Tolerances,
 )
-from povmround.algebra import DEFAULT_TOL, projection_range
+from povmround.algebra import DEFAULT_TOL, hermitian_part, projection_range
 from povmround.majorant import majorant_certificate
 
 
@@ -240,6 +241,53 @@ def range_basis_polar_oracle(
         w, _, vh = np.linalg.svd(y)
         isometries.append(q_basis @ (w @ vh))
     return isometries
+
+
+def per_cluster_eigh_selection_oracle(
+    alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances = DEFAULT_TOL
+) -> tuple[list[list[np.ndarray]], float]:
+    """The projection selection with one decomposition per cluster.
+
+    Each element is diagonalised on its own, its eigenvalues are clustered at
+    cluster_tol * max(1, spectral radius), and every cluster, 1 x 1 ones
+    included, gets its own eigh of the score matrix lambda * B^H rho B; a
+    score below -cert_tol counts as 0.  Returns (bases, lp_value) with
+    bases[k][i] as in SelectionResult.  This is the selection that the shared
+    per-element decomposition in orthogonalize.py replaced; used as a test
+    oracle.
+    """
+    radii = [max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in e.blocks) for e in a.elements]
+    bases = []
+    lp_value = 0.0
+    for k, d in enumerate(alg.dims):
+        rho = phi.densities[k]
+        items = []  # (score, output, -eigenvalue, vec_index, vector)
+        for i, e in enumerate(a.elements):
+            w, v = np.linalg.eigh(hermitian_part(e.blocks[k]))
+            w, v = w[::-1], v[:, ::-1]
+            gap = tol.cluster_tol * max(1.0, radii[i])
+            start = 0
+            for end in range(1, d + 1):
+                if end < d and w[end - 1] - w[end] <= gap:
+                    continue
+                lam = float(w[start:end].mean())
+                basis = v[:, start:end].copy()
+                sw, sv = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
+                sw, sv = sw[::-1], sv[:, ::-1]
+                for j in range(len(sw)):
+                    score = 0.0 if sw[j] < -tol.cert_tol else float(sw[j])
+                    items.append((score, i, -lam, j, basis @ sv[:, j]))
+                start = end
+        items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
+        picked = [[] for _ in range(a.n)]
+        for score, i, _, _, vec in items[:d]:
+            picked[i].append(vec)
+            lp_value += score
+        bases.append([
+            np.stack(vecs, axis=1) if vecs else np.zeros((d, 0), dtype=complex)
+            for vecs in picked
+        ])
+    return bases, lp_value
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from povmround import (
     validate_povm,
     validate_pvm,
 )
+from povmround.algebra import hermitian_eigh, hermitian_sqrt
 from povmround.generators import counterexample_triple, linfty2_family
 
 from conftest import random_density, random_element, rng_for
@@ -29,10 +30,10 @@ from conftest import random_density, random_element, rng_for
 def reconstruct(sc, alg):
     """The Hermitian element sum_c value_c * basis_c basis_c^H of spectral clusters."""
     mats = []
-    for d, clusters in zip(alg.dims, sc.blocks):
+    for d, clusters in zip(alg.dims, sc):
         m = np.zeros((d, d), dtype=complex)
-        for c in clusters:
-            m += c.value * (c.basis @ c.basis.conj().T)
+        for value, basis in clusters:
+            m += value * (basis @ basis.conj().T)
         mats.append(m)
     return AlgebraElement(alg, mats)
 
@@ -168,29 +169,25 @@ class TestDefect:
 class TestSpectralClusters:
     def test_identity_single_cluster(self):
         alg = BlockAlgebra((3,))
-        sc = spectral_clusters(alg.identity(), 1e-8)
-        (clusters,) = sc.blocks
+        (clusters,) = spectral_clusters(hermitian_eigh(alg.identity()), 1e-8)
         assert len(clusters) == 1
-        assert clusters[0].value == pytest.approx(1.0)
-        assert clusters[0].multiplicity == 3
+        value, basis = clusters[0]
+        assert value == pytest.approx(1.0)
+        assert basis.shape == (3, 3)
 
     def test_distinct_eigenvalues_split(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 0.5, 0.0]])
-        sc = spectral_clusters(h, 1e-8)
-        assert [c.value for c in sc.blocks[0]] == pytest.approx([1.0, 0.5, 0.0])
+        (clusters,) = spectral_clusters(hermitian_eigh(h), 1e-8)
+        assert [value for value, _ in clusters] == pytest.approx([1.0, 0.5, 0.0])
 
     def test_gap_below_tolerance_merges(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 1.0 + 1e-12, 0.0]])
-        sc = spectral_clusters(h, 1e-8)
-        values = [c.value for c in sc.blocks[0]]
+        (clusters,) = spectral_clusters(hermitian_eigh(h), 1e-8)
+        values = [value for value, _ in clusters]
         assert len(values) == 2
         assert values == pytest.approx([1.0, 0.0], abs=1e-10)
-
-    def test_non_hermitian_rejected(self, m2):
-        with pytest.raises(ValidationError):
-            spectral_clusters(m2.element([np.array([[0, 1], [0, 0]])]), 1e-8)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -198,16 +195,33 @@ class TestSpectralClusters:
         rng = rng_for(seed)
         alg = BlockAlgebra((int(rng.integers(1, 7)),))
         h = random_element(alg, rng, herm=True)
-        sc = spectral_clusters(h, 1e-8)
+        sc = spectral_clusters(hermitian_eigh(h), 1e-8)
         diff = reconstruct(sc, alg) - h
         bound = max(1e-8 * alg.dims[0], 1e-8)
         assert diff.norm_fro() <= bound
-        for clusters in sc.blocks:
+        for clusters in sc:
             # bases jointly orthonormal and spanning
-            basis = np.hstack([c.basis for c in clusters])
+            basis = np.hstack([b for _, b in clusters])
             assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-            vals = [c.value for c in clusters]
+            vals = [value for value, _ in clusters]
             assert all(a - b > 1e-8 for a, b in zip(vals, vals[1:]))
+
+
+class TestHermitianSqrt:
+    def test_root_squares_back_and_reports_clip(self):
+        alg = BlockAlgebra((2, 1))
+        x = alg.element([np.array([[0.5, 0.25j], [-0.25j, 0.5]]), np.array([[-1e-3]])])
+        root, clip = hermitian_sqrt(alg, hermitian_eigh(x))
+        assert clip == pytest.approx(1e-3, abs=1e-15)
+        assert np.allclose(root.blocks[0] @ root.blocks[0], x.blocks[0], atol=1e-14)
+        assert root.blocks[1][0, 0] == 0.0
+
+    def test_eigh_reads_the_hermitian_part(self):
+        alg = BlockAlgebra((2,))
+        x = alg.element([np.array([[1.0, 2.0], [0.0, 1.0]])])
+        for (w, v), (w_h, v_h) in zip(hermitian_eigh(x), hermitian_eigh(x.hermitized()[0])):
+            assert np.array_equal(w, w_h) and np.array_equal(v, v_h)
+        assert hermitian_eigh(x)[0][0] == pytest.approx([0.0, 2.0])
 
 
 class TestCommutatorNorm:

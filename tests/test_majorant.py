@@ -166,6 +166,23 @@ class TestMinimalMajorant:
         with pytest.raises(ValidationError):
             minimal_majorant(alg, fam)
 
+    def test_validate_diagonalizes_each_functional_once(self, monkeypatch):
+        # The negativity slack scales with the spectral radius, read from the
+        # same eigenvalues as the minimum: 1e6 * psd_tol = 1e-3.
+        alg = BlockAlgebra((2, 1))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        FunctionalFamily([alg.diagonal([[1e6, -1e-4], [1.0]]), alg.identity()]).validate()
+        assert len(calls) == 2 * alg.num_blocks
+        with pytest.raises(ValidationError, match="not positive"):
+            FunctionalFamily([alg.diagonal([[1e6, -1e-2], [1.0]])]).validate()
+
 
 class TestVerifyCertificate:
     def test_self_application(self):

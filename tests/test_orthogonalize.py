@@ -22,13 +22,7 @@ from povmround import (
     select_projections,
     validate_pvm,
 )
-from povmround.algebra import (
-    DEFAULT_TOL,
-    effective_cluster_tol,
-    hermitian_sqrt,
-    projection_range,
-    spectral_clusters,
-)
+from povmround.algebra import hermitian_eigh, hermitian_sqrt, projection_range
 from povmround.generators import (
     counterexample_triple,
     gen_instance,
@@ -38,11 +32,12 @@ from povmround.generators import (
     random_povm_near_pvm,
     random_state,
 )
-from povmround.orthogonalize import _commutant_basis
+from povmround.orthogonalize import _commutant_basis, _safe_ratio
 
 from conftest import (
     kernel_completion_oracle,
     kron_null_space_oracle,
+    per_cluster_eigh_selection_oracle,
     random_density,
     range_basis_polar_oracle,
     rng_for,
@@ -70,6 +65,46 @@ def min_abelian_error(alg, phi, a):
         sum(phi_norm_sq(phi, e - p) for e, p in zip(a.elements, pvm.elements))
         for pvm in enumerate_abelian_pvms(alg, a.n)
     )
+
+
+def _select_with_warnings(alg, phi, a):
+    """Selection at psd_tol 1e-3 and the clipped-score warnings it emits."""
+    with pytest.warns(RuntimeWarning) as record:
+        sel = select_projections(alg, phi, a, Tolerances(psd_tol=1e-3))
+    messages = [str(w.message) for w in record]
+    assert all(m.startswith("selection score") for m in messages)
+    return sel, messages
+
+
+def _count_decompositions(monkeypatch, alg, phi, a):
+    """The eigh and eigvalsh calls of one orthogonalize run."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    orthogonalize(alg, phi, a)
+    return calls
+
+
+def _count_random(monkeypatch, dims):
+    """Counts on a random n = 3 POVM, whose clusters are all 1 x 1.
+
+    eigh runs once per (output, block), shared by the spectral clusters and
+    a_i^(1/2), and once per block for the modulus; eigvalsh runs only in the
+    input validation, once per (output, block).
+    """
+    rng = rng_for(5)
+    alg = BlockAlgebra(dims)
+    a = random_povm_near_pvm(alg, 3, 0.2, rng)
+    calls = _count_decompositions(monkeypatch, alg, random_density(alg, rng), a)
+    n, blocks = a.n, alg.num_blocks
+    assert calls == {"eigh": n * blocks + blocks, "eigvalsh": n * blocks}
+    return calls
 
 
 class TestSelectProjections:
@@ -137,10 +172,55 @@ class TestSelectProjections:
             assert sel.commutation_residual <= 1e-6
             assert sel.idempotency_residual <= 1e-9
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.2])
+    def test_matches_per_cluster_eigh_oracle(self, delta):
+        # delta = 0 gives exact PVMs, whose clusters have multiplicity up to d;
+        # 1e-9 splits them into near-degenerate 1 x 1 clusters.
+        for seed in range(12):
+            rng = rng_for(300 + seed)
+            alg = BlockAlgebra(tuple(int(d) for d in rng.integers(1, 6, size=2)))
+            a = random_povm_near_pvm(alg, int(rng.integers(2, 5)), delta, rng)
+            phi = random_density(alg, rng)
+            sel = select_projections(alg, phi, a)
+            bases, lp_value = per_cluster_eigh_selection_oracle(alg, phi, a)
+            assert sel.lp_value == pytest.approx(lp_value, rel=1e-14, abs=1e-15)
+            for row, oracle_row in zip(sel.bases, bases):
+                for v, u in zip(row, oracle_row):
+                    assert v.shape == u.shape
+                    assert np.linalg.norm(v @ v.conj().T - u @ u.conj().T) <= 1e-12
+
+    def test_clipped_score_warns_on_a_simple_eigenvalue(self, m2, trace_state_m2):
+        a = Povm(m2, [m2.diagonal([[-5e-4, 1.0]]), m2.diagonal([[1.0 + 5e-4, 0.0]])])
+        sel, messages = _select_with_warnings(m2, trace_state_m2, a)
+        assert len(messages) == 1
+        assert messages[0].startswith("selection score -2.500e-04 ")
+        assert sel.lp_value == pytest.approx((1.0 + 5e-4) / 2 + 1.0 / 2, abs=1e-15)
+
+    def test_clipped_scores_warn_on_a_double_eigenvalue(self):
+        alg = BlockAlgebra((3,))
+        a = Povm(alg, [
+            alg.diagonal([[-5e-4, -5e-4, 1.0]]), alg.diagonal([[1.0 + 5e-4, 1.0 + 5e-4, 0.0]])
+        ])
+        sel, messages = _select_with_warnings(alg, State.normalized_trace(alg), a)
+        assert len(messages) == 2
+        assert sel.lp_value == pytest.approx((2 * (1.0 + 5e-4) + 1.0) / 3, abs=1e-15)
+
+    def test_picked_clipped_score_counts_zero(self, m2):
+        # rho = diag(1, 0): the output-0 item at e_1 scores -1e-4, ties at 0
+        # with the zero-weight items and wins the tie on its larger eigenvalue,
+        # so it is picked and adds 0, not -1e-4, to the linear program.
+        phi = State(m2, [np.diag([1.0, 0.0])])
+        a = Povm(m2, [m2.diagonal([[-1e-4, -5e-4]]), m2.diagonal([[1.0 + 1e-4, 1.0 + 5e-4]])])
+        sel, messages = _select_with_warnings(m2, phi, a)
+        assert len(messages) == 1
+        assert sel.ranks == [[1, 1]]
+        assert np.allclose(np.abs(sel.bases[0][0][:, 0]), [1.0, 0.0])
+        assert sel.lp_value == 1.0 + 1e-4
+
 
 def _selected_column_maps(alg, a, projections):
     """The tall column maps with rows q_i a_i^(1/2) that the oracles take."""
-    roots = [hermitian_sqrt(e, 0.0, 1.0)[0] for e in a.elements]
+    roots = [hermitian_sqrt(alg, hermitian_eigh(e), 0.0, 1.0)[0] for e in a.elements]
     return [
         np.vstack([q.blocks[k] @ r.blocks[k] for q, r in zip(projections, roots)])
         for k in range(alg.num_blocks)
@@ -149,7 +229,7 @@ def _selected_column_maps(alg, a, projections):
 
 def _selected_square_maps(alg, a, sel):
     """The square maps with rows V_ki^H a_i^(1/2) that orthogonalize builds."""
-    roots = [hermitian_sqrt(e, 0.0, 1.0)[0] for e in a.elements]
+    roots = [hermitian_sqrt(alg, hermitian_eigh(e), 0.0, 1.0)[0] for e in a.elements]
     return [
         np.vstack([v.conj().T @ r.blocks[k] for v, r in zip(sel.bases[k], roots)])
         for k in range(alg.num_blocks)
@@ -367,37 +447,28 @@ class TestOrthogonalize:
             assert best - 1e-12 <= rep.error <= 9 * rep.defect + 1e-7
 
     def test_no_projection_is_diagonalized_again(self, monkeypatch):
-        # eigh runs once per (output, block) for the spectral clusters, once per
-        # cluster for the selection scores, once per (output, block) for
-        # a_i^(1/2) and once per block for the modulus: never on a q_i block.
-        rng = rng_for(5)
-        alg = BlockAlgebra((2, 2, 3, 1))
-        a = random_povm_near_pvm(alg, 3, 0.2, rng)
-        phi = random_density(alg, rng)
-        clusters = sum(
-            len(block)
-            for e in a.elements
-            for block in spectral_clusters(
-                e, effective_cluster_tol(e, DEFAULT_TOL), DEFAULT_TOL.cert_tol
-            ).blocks
-        )
-        calls = []
-        eigh = np.linalg.eigh
+        # Every cluster here is 1 x 1 and no q_i block is decomposed.
+        assert _count_random(monkeypatch, (2, 2, 3, 1)) == {"eigh": 16, "eigvalsh": 12}
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(args)
-            return eigh(*args, **kwargs)
+    def test_each_element_is_diagonalized_once(self, monkeypatch):
+        assert _count_random(monkeypatch, (4,) * 10) == {"eigh": 40, "eigvalsh": 30}
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        orthogonalize(alg, phi, a)
-        n, blocks = a.n, alg.num_blocks
-        assert len(calls) == 2 * n * blocks + clusters + blocks == 52
+    def test_each_multiple_cluster_adds_one_eigh(self, monkeypatch):
+        # An exact PVM of ranks (2, 1) on M_3: two clusters of multiplicity 2
+        # (the eigenvalue 1 of a_1 and 0 of a_2) add one eigh each.
+        alg = BlockAlgebra((3,))
+        a = Povm(alg, [alg.diagonal([[1.0, 1.0, 0.0]]), alg.diagonal([[0.0, 0.0, 1.0]])])
+        calls = _count_decompositions(monkeypatch, alg, State.normalized_trace(alg), a)
+        assert calls == {"eigh": 2 + 2 + 1, "eigvalsh": 2}
 
     def test_ratio_inf_safe(self, m2, trace_state_m2):
+        assert _safe_ratio(0.0, 0.0) == 0.0
+        assert _safe_ratio(1e-3, 0.0) == math.inf
+        assert _safe_ratio(-1e-18, 0.0) == 0.0
+        assert _safe_ratio(2.0, 4.0) == 0.5
         p = Povm(m2, [m2.diagonal([[1, 0]]), m2.diagonal([[0, 1]])])
         rep = orthogonalize(m2, trace_state_m2, p)
-        assert rep.ratio in (0.0,) or rep.ratio >= 0.0
-        assert math.isfinite(rep.ratio) or rep.error > 0
+        assert rep.defect == rep.error == rep.ratio == 0.0
 
 
 class TestDecomposeGeneratedAlgebra:
