@@ -143,12 +143,13 @@ def _cmd_verify(path: str, tol: Tolerances):
     missing = [k for k in ("instance", "z", "t") if not isinstance(stored, dict) or k not in stored]
     if missing:
         raise ValidationError(f"majorant report has no result field(s) {missing}")
-    inst = Instance.from_json(stored["instance"], tol)
+    inst = Instance.from_json(stored["instance"])
     z = decode_element(inst.algebra, stored["z"])
     duals = decode_elements(inst.algebra, stored["t"])
     f = inst.functionals
     if f is None:
         raise ValidationError("embedded instance has no functional family")
+    f.validate(tol)
     if len(duals) != f.n:
         raise ValidationError(f"report has {len(duals)} dual elements for {f.n} functionals")
     sol = majorant_certificate(f, z, duals)
@@ -327,7 +328,7 @@ def run_command(args) -> tuple[dict, int]:
         return doc, 0 if all(c.passed for c in checks) else 1
 
     handler = _INSTANCE_COMMANDS[args.command]
-    inst = load_instance(args.input, tol)
+    inst = load_instance(args.input)
     result, checks = handler(inst, tol)
     doc = make_report(
         args.command, file_digest(args.input), tol, result, checks,

@@ -2,14 +2,15 @@
 
 Complex matrices are stored as nested row-major arrays of [re, im] pairs.
 Floats are emitted in Python's shortest round-trip decimal form, so
-load(save(x)) reproduces every matrix entry bit for bit.  Loaded objects are
-run through their validators before use.  An unreadable path or a malformed
-document (not an object, a missing key, a matrix not of [re, im] rows) is a
-``ValidationError``, raised here.
+load(save(x)) reproduces every matrix entry bit for bit.  This module only
+decodes.  An unreadable path or a malformed document (not an object, a missing
+key, a matrix not of [re, im] rows, a non-finite entry) is a ``ValidationError``,
+raised here; the solver that reads a decoded object checks its invariants.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from contextlib import contextmanager
@@ -27,12 +28,7 @@ from .algebra import (
     ShapeMismatchError,
     State,
     Tolerances,
-    DEFAULT_TOL,
     ValidationError,
-    require_valid,
-    validate_povm,
-    validate_pvm,
-    validate_state,
 )
 from .majorant import FunctionalFamily
 
@@ -46,9 +42,10 @@ def _encode_matrix(m: np.ndarray) -> list:
 
 
 def _decode_entry(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise ValidationError(f"matrix entry {[re, im]} holds a boolean, not a number")
-    return complex(re, im)
+    z = complex(re, im)
+    if isinstance(re, bool) or isinstance(im, bool) or not cmath.isfinite(z):
+        raise ValidationError(f"matrix entry {[re, im]} is a boolean or not finite")
+    return z
 
 
 def _decode_matrix(data) -> np.ndarray:
@@ -115,7 +112,7 @@ class Instance:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict, tol: Tolerances = DEFAULT_TOL) -> "Instance":
+    def from_json(cls, doc: dict) -> "Instance":
         with _decoding("instance"):
             if doc.get("format") != INSTANCE_FORMAT:
                 raise ValidationError(f"not an instance file (format={doc.get('format')!r})")
@@ -125,20 +122,13 @@ class Instance:
             inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
             if "state" in doc:
                 inst.state = State(alg, [_decode_matrix(r) for r in doc["state"]])
-                require_valid(validate_state(alg, inst.state, tol), "state in file fails validation")
             if "povm" in doc:
                 inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
-                require_valid(validate_povm(alg, inst.povm, tol), "POVM in file fails validation")
             if "pvm_pair" in doc:
-                p = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["p"]])
-                q = Pvm(alg, [decode_element(alg, e) for e in doc["pvm_pair"]["q"]])
-                for name, pvm in (("p", p), ("q", q)):
-                    require_valid(validate_pvm(alg, pvm, tol), f"PVM {name!r} in file fails validation")
-                inst.pvm_pair = (p, q)
+                pair = doc["pvm_pair"]
+                inst.pvm_pair = tuple(Pvm(alg, decode_elements(alg, pair[k])) for k in "pq")
             if "functionals" in doc:
-                fam = FunctionalFamily([decode_element(alg, e) for e in doc["functionals"]])
-                fam.validate(tol)
-                inst.functionals = fam
+                inst.functionals = FunctionalFamily(decode_elements(alg, doc["functionals"]))
             return inst
 
 
@@ -159,8 +149,8 @@ def _read_json(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def load_instance(path, tol: Tolerances = DEFAULT_TOL) -> Instance:
-    return Instance.from_json(_read_json(path), tol)
+def load_instance(path) -> Instance:
+    return Instance.from_json(_read_json(path))
 
 
 def file_digest(path) -> str:

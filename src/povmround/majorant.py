@@ -64,7 +64,9 @@ class FunctionalFamily:
     def scale(self) -> float:
         return max(1.0, sum(e.trace().real for e in self.elements))
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL):
+    def validate(self, tol: Tolerances = DEFAULT_TOL) -> float:
+        """Raise ValidationError unless each a_i is Hermitian PSD; return the top eigenvalue."""
+        top = -np.inf
         for i, e in enumerate(self.elements):
             if e.skew_norm() > tol.cert_tol * max(1.0, e.norm_fro()):
                 raise ValidationError(f"functional {i} is not Hermitian")
@@ -75,6 +77,8 @@ class FunctionalFamily:
                 raise ValidationError(
                     f"functional {i} is not positive (min eigenvalue {low:.3e})"
                 )
+            top = max(top, max(float(w.max()) for w in eigs))
+        return top
 
 
 @dataclass
@@ -265,14 +269,13 @@ def minimal_majorant(
     """Solve min Tr(z), z >= a_i for all i, with dual POVM and certificates."""
     if f.algebra.dims != alg.dims:
         raise PreconditionError("functional family does not match the algebra")
-    f.validate(tol)
+    top = f.validate(tol)
     n = f.n
     dim = alg.total_dim
     scale = f.scale()
     gap_target = tol.gap_tol * scale
 
     fam_blocks = [[e.blocks[k] for e in f.elements] for k in range(alg.num_blocks)]
-    top = max(max(float(w.max()) for w in e.eigvals()) for e in f.elements)
     z_blocks = [(top + 1.0) * np.eye(d, dtype=complex) for d in alg.dims]
 
     # Land just inside the certified-gap target: shrinking mu further only

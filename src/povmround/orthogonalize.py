@@ -61,6 +61,7 @@ from .algebra import (
     split_at_gaps,
     validate_povm,
     validate_pvm,
+    validate_state,
 )
 
 _GENERIC_SEED = 0x5EED
@@ -175,6 +176,7 @@ def select_projections(
     the tuple (a_1, ..., a_n) itself is feasible, the optimum is at least
     phi(sum_i a_i^2) = 1 - defect.
     """
+    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
     require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
 
     # Pool of candidate rank-one items per block.  An item is one eigenvector
@@ -563,6 +565,7 @@ def orthogonalize_symmetry_preserving(
 ) -> SymmetricOrthReport:
     """Round inside the algebra generated by the POVM, so that the output
     commutes with everything commuting with all inputs."""
+    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
     require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
 
     decomp = decompose_generated_algebra(list(a.elements), tol)

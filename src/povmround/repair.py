@@ -41,6 +41,7 @@ from .algebra import (
     projection_range,
     require_valid,
     validate_pvm,
+    validate_state,
 )
 from .orthogonalize import BOUND_SLACK, OrthReport, nine_defect_check, orthogonalize
 
@@ -55,15 +56,13 @@ def _ten_defect_check(name: str, error: float, eps_c: float) -> BoundCheck:
     return check_leq(name, error, 10.0 * eps_c + BOUND_SLACK)
 
 
-def commutant_of_pvm(q: Pvm, tol: Tolerances = DEFAULT_TOL) -> SubAlgebra:
-    """Block algebra of all elements commuting with every q_j.
+def commutant_of_pvm(q: Pvm) -> SubAlgebra:
+    """Block algebra of all elements commuting with every q_j, for a valid PVM q.
 
     Per ambient block, the ranges of the q_j are stacked into one unitary
     basis; each nonzero range is one sub-block of multiplicity 1.
     """
     alg = q.algebra
-    diag = validate_pvm(alg, q, tol)
-    require_valid(diag, "reference measurement fails POVM validation", PreconditionError)
     dims = []
     ambient_block = []
     offsets = []
@@ -111,8 +110,11 @@ class CompressedPovm:
 
 def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> CompressedPovm:
     """Pinch p through q and certify the exact commutation-defect identity."""
-    comm = commutant_of_pvm(q, tol)
     alg = p.algebra
+    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
+    for name, x in (("p", p), ("q", q)):
+        require_valid(validate_pvm(x.algebra, x, tol), f"input {name} is not a valid PVM")
+    comm = commutant_of_pvm(q)
     eps_c = commutation_defect(phi, p, q)
 
     ambient_a = []

@@ -10,6 +10,7 @@ from povmround import (
     MajorantSolution,
     Povm,
     PreconditionError,
+    Pvm,
     SolverError,
     State,
     Tolerances,
@@ -40,6 +41,16 @@ def random_density(alg, rng, rank=None):
         densities.append(g @ g.conj().T)
     total = sum(np.trace(m).real for m in densities)
     return State(alg, [m / total for m in densities])
+
+
+def trace_two_state(phi: State) -> State:
+    """phi scaled by 2: positive, but not a state."""
+    return State(phi.algebra, [2.0 * r for r in phi.densities])
+
+
+def mixed_pvm(p: Pvm) -> Pvm:
+    """p_i -> 0.8 p_i + 0.2 p_{n-1-i}: still a POVM, no longer a PVM."""
+    return Pvm(p.algebra, [0.8 * x + 0.2 * y for x, y in zip(p.elements, reversed(p.elements))])
 
 
 def commuting_majorant_oracle(alg: BlockAlgebra, f: FunctionalFamily) -> MajorantSolution:

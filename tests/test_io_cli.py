@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from povmround import (
+    Povm,
     Tolerances,
     ValidationError,
     validate_povm,
@@ -16,6 +17,8 @@ from povmround import (
 from povmround.cli import build_tolerances, main
 from povmround.generators import gen_instance
 from povmround.io import dumps, load_instance, load_report, save_instance
+
+from conftest import mixed_pvm, trace_two_state
 
 
 class TestSerialization:
@@ -39,14 +42,16 @@ class TestSerialization:
         assert doc["povm"][0][0] == [[[1.0, 0.0]]]
         assert doc["dims"] == [1, 1]
 
-    def test_loaded_objects_are_validated(self, tmp_path):
+    def test_loaded_objects_are_not_validated(self, tmp_path):
+        # Loading only decodes; the solver that reads the POVM rejects it.
         inst = gen_instance("linfty2_family", 0, {"c": 0.1})
         doc = inst.to_json()
         doc["povm"][0][0][0][0] = [5.0, 0.0]  # breaks the sum-to-identity invariant
         path = tmp_path / "bad.json"
         path.write_text(dumps(doc))
-        with pytest.raises(ValidationError):
-            load_instance(path)
+        loaded = load_instance(path)
+        assert loaded.povm.elements[0].blocks[0][0, 0] == 5.0
+        assert not validate_povm(loaded.algebra, loaded.povm).is_valid
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -267,3 +272,69 @@ class TestToleranceOverrides:
         ]) == 0
         for flag in ("bogus=1", "mu0_scale=2"):
             assert main(["orthogonalize", "--in", str(inst_path), "--tol", flag]) == 2
+
+
+class TestInvalidObjectsExit2:
+    """Each command rejects an invalid object it reads with exit 2 and names it.
+    The functional cases are test_robustness.py's test_invalid_functional (majorant)
+    and test_verify_validates_embedded_instance_with_its_tol (verify)."""
+
+    @staticmethod
+    def _run(tmp_path, command, inst):
+        path = tmp_path / "edited.json"
+        save_instance(inst, path)
+        return main([command, "--in", str(path)])
+
+    @pytest.mark.parametrize("command", ["orthogonalize", "orthogonalize-sym"])
+    @pytest.mark.parametrize("edit,named", [
+        (lambda i: {"povm": Povm(i.algebra, [2.0 * e for e in i.povm.elements])},
+         "input is not a valid POVM"),
+        (lambda i: {"state": trace_two_state(i.state)}, "input is not a valid state"),
+    ], ids=["povm", "trace-2-state"])
+    def test_rounding_input(self, tmp_path, capsys, command, edit, named):
+        inst = gen_instance("random_povm_near_pvm", 9, {"dims": [4], "n": 3, "delta": 0.2})
+        assert self._run(tmp_path, command, dataclasses.replace(inst, **edit(inst))) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["repair", "fourier"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["p", "q"])
+    def test_pvm_pair_input(self, tmp_path, capsys, command, which):
+        inst = gen_instance("rotated_pvm_pair", 2, {"theta": 0.1, "canonical": True})
+        pair = list(inst.pvm_pair)
+        pair[which] = mixed_pvm(pair[which])
+        assert self._run(tmp_path, command, dataclasses.replace(inst, pvm_pair=tuple(pair))) == 2
+        err = capsys.readouterr().err
+        assert "not a valid PVM" in err
+        if command == "repair":
+            assert f"input {'pq'[which]} is not" in err
+
+
+class TestValidationPasses:
+    """Each input is validated once per CLI job, in the solver that reads it."""
+
+    @staticmethod
+    def _eigvalsh_calls(monkeypatch, tmp_path, command, inst):
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main([command, "--in", str(path)]) == 0
+        return len(calls)
+
+    def test_orthogonalize_job(self, monkeypatch, tmp_path):
+        # State gate K, POVM gate nK, output gate of OrthReport.checks nK.
+        inst = gen_instance("random_povm_near_pvm", 3, {"dims": [2, 3, 1], "n": 3, "delta": 0.2})
+        n, k = inst.povm.n, inst.algebra.num_blocks
+        assert self._eigvalsh_calls(monkeypatch, tmp_path, "orthogonalize", inst) == (2 * n + 1) * k
+
+    def test_majorant_job(self, monkeypatch, tmp_path):
+        # Family gate nK, then feasibility and dual positivity of the certificate nK each.
+        inst = gen_instance("random_functionals", 3, {"dims": [3, 2], "n": 3})
+        n, k = inst.functionals.n, inst.algebra.num_blocks
+        assert self._eigvalsh_calls(monkeypatch, tmp_path, "majorant", inst) == 3 * n * k

@@ -1,6 +1,7 @@
-"""Malformed CLI input and unwritable output exit 2, verify checks a report's
-stored claims, gen builds no report, sweep's draws respect --max-dim, and the
-block decomposition has its own retry budget and names why it ran out."""
+"""Malformed CLI input and unwritable output exit 2, the solvers reject
+invalid inputs, verify checks a report's stored claims, gen builds no report,
+sweep's draws respect --max-dim, and the block decomposition has its own
+retry budget and names why it ran out."""
 
 import importlib
 import json
@@ -9,10 +10,21 @@ import math
 import numpy as np
 import pytest
 
-from povmround import BlockAlgebra, SolverError, Tolerances, decompose_generated_algebra
-from povmround.generators import random_hermitian
+from povmround import (
+    BlockAlgebra,
+    SolverError,
+    Tolerances,
+    ValidationError,
+    decompose_generated_algebra,
+    orthogonalize,
+    orthogonalize_symmetry_preserving,
+    repair,
+)
+from povmround.generators import gen_instance, random_hermitian, rotated_pvm_pair
 from povmround.cli import _sweep_config, main
 from povmround.io import dumps
+
+from conftest import mixed_pvm, trace_two_state
 
 orthogonalize_module = importlib.import_module("povmround.orthogonalize")
 
@@ -171,6 +183,22 @@ class TestMalformedFiles:
         assert main(["orthogonalize", "--in", str(path)]) == 2
         assert "boolean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e309"])
+    @pytest.mark.parametrize("kind,params,key,command", [
+        ("random_povm_near_pvm", {"dims": [4], "n": 3}, "state", "orthogonalize"),
+        ("random_povm_near_pvm", {"dims": [4], "n": 3}, "povm", "orthogonalize"),
+        ("random_functionals", {"dims": [3], "n": 2}, "functionals", "majorant"),
+    ], ids=["state", "povm", "functionals"])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, token, kind, params, key, command):
+        # json.loads reads NaN and Infinity tokens, and 1e309 as inf.
+        doc = gen_instance(kind, 0, params).to_json()
+        entry = doc[key][0][0][1] if key == "state" else doc[key][0][0][0][1]
+        entry[0] = 0.125
+        path = tmp_path / "inst.json"
+        path.write_text(dumps(doc).replace("0.125", token, 1))
+        assert main([command, "--in", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_directory_as_input(self, tmp_path):
         assert main(["orthogonalize", "--in", str(tmp_path)]) == 2
 
@@ -283,3 +311,25 @@ def test_decomposition_names_the_last_failure(monkeypatch):
     with pytest.raises(SolverError, match="pieces do not account for the commutant"):
         decompose_generated_algebra(gens)
     assert len(calls) == orthogonalize_module.DECOMPOSE_ATTEMPTS
+
+
+class TestSolverInputGates:
+    """The library solvers reject the inputs they read with ValidationError."""
+
+    @pytest.mark.parametrize("solver", [orthogonalize, orthogonalize_symmetry_preserving])
+    def test_rounding_rejects_trace_two_state(self, solver):
+        inst = gen_instance("random_povm_near_pvm", 9, {"dims": [4], "n": 3, "delta": 0.2})
+        with pytest.raises(ValidationError, match="not a valid state"):
+            solver(inst.algebra, trace_two_state(inst.state), inst.povm)
+
+    def test_repair_rejects_trace_two_state(self):
+        _, phi, p, q = rotated_pvm_pair(0.1, (4,), 3, 2, np.random.default_rng(1))
+        with pytest.raises(ValidationError, match="not a valid state"):
+            repair(trace_two_state(phi), p, q)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["p", "q"])
+    def test_repair_rejects_povm_that_is_not_projective(self, which):
+        _, phi, *pair = rotated_pvm_pair(0.1, (4,), 3, 2, np.random.default_rng(1))
+        pair[which] = mixed_pvm(pair[which])
+        with pytest.raises(ValidationError, match=f"input {'pq'[which]} is not a valid PVM"):
+            repair(phi, *pair)
