@@ -82,7 +82,9 @@ class Tolerances:
     barrier solver shrinks mu by mu_shrink per stage, centers each stage to
     gradient norm newton_tol, stops at a certified gap of gap_tol (relative to
     the family's scale), and takes at most max_iters Newton steps per stage
-    and max_iters stages.
+    and max_iters stages.  Blocks above majorant.DENSE_STEP_MAX_DIM take
+    inexact Newton steps, solved by CG to a relative residual
+    min(0.1, gradient norm); newton_tol still gates their centering.
     """
 
     cluster_tol: float = 1e-8
@@ -159,8 +161,14 @@ class BlockAlgebra:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2 of one square matrix."""
-    return (a + a.conj().T) / 2
+    """(a + a^H) / 2 of a square matrix, or of each matrix of an (n, d, d) stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def require_finite(blocks, what: str) -> None:
+    """Raise ValidationError unless every entry of every block is finite."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise ValidationError(f"{what} has a non-finite entry")
 
 
 def _as_block(mat, dim: int) -> np.ndarray:
@@ -325,6 +333,7 @@ class StateDiagnostics:
 def validate_state(alg: BlockAlgebra, phi: State, tol: Tolerances = DEFAULT_TOL) -> StateDiagnostics:
     if phi.algebra.dims != alg.dims:
         raise ShapeMismatchError("state does not match the algebra")
+    require_finite(phi.densities, "state")
     min_eig = phi.min_eigenvalue()
     trace_residual = abs(phi.total_trace() - 1.0)
     ok = (
@@ -400,7 +409,8 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
         raise ShapeMismatchError("POVM does not match the algebra")
     neg = 0.0
     excess = 0.0
-    for e in a.elements:
+    for i, e in enumerate(a.elements):
+        require_finite(e.blocks, f"POVM element {i}")
         for w in e.eigvals():
             neg = max(neg, float(max(0.0, -w.min())))
             excess = max(excess, float(max(0.0, w.max() - 1.0)))

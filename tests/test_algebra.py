@@ -12,6 +12,7 @@ from povmround import (
     Povm,
     Pvm,
     ShapeMismatchError,
+    State,
     Tolerances,
     ValidationError,
     commutator_phi_norm_sq,
@@ -20,6 +21,7 @@ from povmround import (
     spectral_clusters,
     validate_povm,
     validate_pvm,
+    validate_state,
 )
 from povmround.algebra import hermitian_eigh, hermitian_sqrt
 from povmround.generators import counterexample_triple, linfty2_family
@@ -94,6 +96,23 @@ class TestValidatePovm:
         a = Povm(m2, [m2.element([skew]), m2.element([np.eye(2) - (skew + skew.conj().T) / 2])])
         assert a.hermitization_residual > 0.1
         assert not validate_povm(m2, a).is_valid
+
+
+class TestNonFiniteInput:
+    """One NaN entry is a ValidationError, not an eigensolver failure."""
+
+    def test_state(self, m2):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="state has a non-finite entry"):
+            validate_state(m2, State(m2, [rho]))
+
+    def test_povm(self, m2):
+        e11 = np.diag([1.0, 0.0]).astype(complex)
+        e11[1, 1] = np.nan
+        a = Povm(m2, [m2.element([e11]), m2.diagonal([[0, 1]])])
+        with pytest.raises(ValidationError, match="POVM element 0 has a non-finite entry"):
+            validate_povm(m2, a)
 
 
 class TestPhiNorm:

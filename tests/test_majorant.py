@@ -15,6 +15,7 @@ from povmround import (
     minimal_majorant,
     verify_majorant_certificate,
 )
+from povmround import majorant as majorant_module
 from povmround.generators import gen_instance, random_functionals
 from povmround.majorant import _assemble_hessian
 
@@ -182,6 +183,102 @@ class TestMinimalMajorant:
         assert len(calls) == 2 * alg.num_blocks
         with pytest.raises(ValidationError, match="not positive"):
             FunctionalFamily([alg.diagonal([[1e6, -1e-2], [1.0]])]).validate()
+
+    def test_nan_entry_rejected(self):
+        alg = BlockAlgebra((3,))
+        block = np.eye(3, dtype=complex)
+        block[1, 2] = np.nan
+        fam = FunctionalFamily([alg.identity(), alg.element([block])])
+        with pytest.raises(ValidationError, match="functional 1 has a non-finite entry"):
+            minimal_majorant(alg, fam)
+
+
+def positive_part(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+@pytest.mark.parametrize("d", [3, 6, 12, 16])
+def test_two_functionals_against_closed_form(d):
+    # For n = 2 the minimal majorant is unique: z = a_2 + (a_1 - a_2)_+.
+    # d = 3, 6 take the dense Newton step and d = 12, 16 the CG step.
+    alg = BlockAlgebra((d,))
+    f = random_functionals(alg, 2, rng_for(100 + d))
+    a1, a2 = (e.blocks[0] for e in f.elements)
+    exact = a2 + positive_part(a1 - a2)
+    sol = minimal_majorant(alg, f)
+    assert all(c.passed for c in sol.checks(f))
+    assert abs(sol.primal - np.trace(exact).real) <= sol.gap
+    assert np.linalg.norm(sol.majorant.blocks[0] - exact) <= 1e-5
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_dense_and_cg_steps_agree(monkeypatch, d):
+    # The same family solved with each Newton step, whichever one the
+    # block size selects by default.
+    alg = BlockAlgebra((d,))
+    f = random_functionals(alg, 3, rng_for(200 + d))
+    primals = []
+    for cutoff in (d, d - 1):  # dense, then CG
+        monkeypatch.setattr(majorant_module, "DENSE_STEP_MAX_DIM", cutoff)
+        sol = minimal_majorant(alg, f)
+        assert all(c.passed for c in sol.checks(f))
+        assert all(c.passed for c in verify_majorant_certificate(alg, f, sol))
+        primals.append(sol.primal)
+    assert abs(primals[0] - primals[1]) <= Tolerances().gap_tol * f.scale()
+
+
+class TestLinalgCalls:
+    """Per Newton step: one stacked inverse of the n matrices z - a_i (and, on
+    the CG path, one inverse of their mean for the preconditioner); per
+    barrier evaluation: one stacked Cholesky factorisation."""
+
+    @staticmethod
+    def _count(monkeypatch, dims, n):
+        alg = BlockAlgebra(dims)
+        f = random_functionals(alg, n, rng_for(sum(dims)))
+        calls = {"inv": [], "cholesky": [], "solve": [], "barrier": 0, "stages": 0, "hessian": 0}
+        for name in ("inv", "cholesky", "solve"):
+            original = getattr(np.linalg, name)
+
+            def shape_recording(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, shape_recording)
+        for name, key in (("_barrier", "barrier"), ("_newton_center", "stages"),
+                          ("_assemble_hessian", "hessian")):
+            original = getattr(majorant_module, name)
+
+            def counting(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(majorant_module, name, counting)
+        sol = minimal_majorant(alg, f)
+        assert all(c.passed for c in sol.checks(f))
+        return calls, sol.newton_iterations
+
+    def test_dense_blocks(self, monkeypatch):
+        dims, n = (4, 4), 3
+        calls, steps = self._count(monkeypatch, dims, n)
+        k = len(dims)
+        # A gradient per step, one more per centering that ends it, and the dual recovery.
+        assert calls["inv"] == [(n, 4, 4)] * (steps + calls["stages"] * k + k)
+        assert calls["cholesky"] == [(n, 4, 4)] * calls["barrier"]
+        assert calls["solve"] == [(16, 16)] * steps
+        assert calls["hessian"] == steps
+
+    def test_cg_block_makes_no_dense_solve(self, monkeypatch):
+        n = 3
+        calls, steps = self._count(monkeypatch, (16,), n)
+        stacked = [s for s in calls["inv"] if s == (n, 16, 16)]
+        assert len(stacked) == steps + calls["stages"] + 1
+        assert calls["inv"].count((16, 16)) == steps
+        assert len(calls["inv"]) == len(stacked) + steps
+        assert calls["cholesky"] == [(n, 16, 16)] * calls["barrier"]
+        assert calls["solve"] == []
+        assert calls["hessian"] == 0
 
 
 class TestVerifyCertificate:
