@@ -97,6 +97,9 @@ class Tolerances:
     max_iters: int = 200
 
     def __post_init__(self):
+        for f in fields(self):  # bool is an int subclass: True would pass as 1
+            if isinstance(getattr(self, f.name), (bool, np.bool_)):
+                raise ValidationError(f"{f.name} must be a number, not a boolean")
         for name in ("cluster_tol", "rank_tol", "psd_tol", "cert_tol", "newton_tol", "gap_tol"):
             if not 0 < getattr(self, name) < math.inf:  # false for NaN too
                 raise ValidationError(f"{name} must be finite and positive")

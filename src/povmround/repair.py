@@ -3,8 +3,9 @@
 Two PVMs (p_i) and (q_j) with small commutation defect
 eps_c = sum_ij ||p_i q_j - q_j p_i||_phi^2 admit a repaired PVM (p'_i) that
 commutes with every q_j exactly and stays within 10 * eps_c of p in squared
-phi-norm.  The route: pinch p through q to get the POVM a_i = sum_j q_j p_i q_j,
-which lives in the block-diagonal commutant of (q_j); the exact identity
+phi-norm.  The route: pinch p through q to get the POVM a_i = sum_j q_j p_i q_j.
+Pinching is the conditional expectation onto the block-diagonal commutant of
+(q_j), so a is p compressed into that commutant.  The exact identity
 
     eps_c = sum_i ||p_i - a_i||_phi^2 + (1 - phi(sum_i a_i^2))
 
@@ -35,6 +36,7 @@ from .algebra import (
     DEFAULT_TOL,
     check_leq,
     commutator_phi_norm_sq,
+    defect,
     max_commutator,
     phi_distance_sq,
     phi_norm_sq,
@@ -43,7 +45,7 @@ from .algebra import (
     validate_pvm,
     validate_state,
 )
-from .orthogonalize import BOUND_SLACK, OrthReport, nine_defect_check, orthogonalize
+from .orthogonalize import BOUND_SLACK, OrthReport, orthogonalize
 
 # Thresholds of the certified repair bounds.
 IDENTITY_TOL = 1e-10          # exact commutation-defect identity
@@ -110,28 +112,21 @@ class CompressedPovm:
 
 def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> CompressedPovm:
     """Pinch p through q and certify the exact commutation-defect identity."""
-    alg = p.algebra
-    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
+    require_valid(validate_state(p.algebra, phi, tol), "input is not a valid state")
     for name, x in (("p", p), ("q", q)):
         require_valid(validate_pvm(x.algebra, x, tol), f"input {name} is not a valid PVM")
     comm = commutant_of_pvm(q)
     eps_c = commutation_defect(phi, p, q)
 
-    ambient_a = []
-    for pi in p.elements:
-        acc = alg.zero()
-        for qj in q.elements:
-            acc = acc + (qj @ pi @ qj)
-        ambient_a.append(acc)
-
+    # Compressing p_i is compressing its pinching: V_j^H p_i V_j = V_j^H a_i V_j.
+    phi_restricted, compressed = comm.restrict(phi, p.elements)
+    ambient_a = [comm.embed(c) for c in compressed.elements]
     pinch_cost = phi_distance_sq(phi, p.elements, ambient_a)
-    compressed_defect = 1.0 - sum(phi.expect(ai @ ai).real for ai in ambient_a)
+    compressed_defect = defect(phi_restricted, compressed)
     identity_residual = abs(eps_c - pinch_cost - compressed_defect)
     imag_residual = abs(
         sum(phi.expect(ai @ pi) for ai, pi in zip(ambient_a, p.elements)).imag
     )
-
-    phi_restricted, compressed = comm.restrict(phi, ambient_a)
     return CompressedPovm(
         comm,
         compressed,
@@ -155,13 +150,12 @@ class RepairReport:
 
     def checks(self) -> list[BoundCheck]:
         """The 10x repair bound, the pinching identity, exact commutation,
-        and the 9x bound of the inner rounding."""
+        and every bound of the inner rounding, names prefixed ``inner_``."""
         return [
             _ten_defect_check("error_vs_10defect", self.error, self.epsilon_c),
             check_leq("identity_residual", self.identity_residual, IDENTITY_TOL),
             check_leq("output_commutators", self.max_commutator, OUTPUT_COMMUTATOR_TOL),
-            nine_defect_check(self.inner, "inner_error_vs_9defect"),
-        ]
+        ] + self.inner.checks(prefix="inner_")
 
 
 def repair(phi: State, p: Pvm, q: Pvm, tol: Tolerances = DEFAULT_TOL) -> RepairReport:

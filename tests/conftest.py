@@ -301,6 +301,21 @@ def per_cluster_eigh_selection_oracle(
     return bases, lp_value
 
 
+def ambient_pinching_oracle(p: Pvm, q: Pvm) -> list[AlgebraElement]:
+    """The pinched POVM a_i = sum_j q_j p_i q_j, formed in the ambient algebra.
+
+    This is how compress_povm built the pinched POVM before it compressed p
+    into the commutant of q directly; used as a test oracle.
+    """
+    pinched = []
+    for pi in p.elements:
+        acc = p.algebra.zero()
+        for qj in q.elements:
+            acc = acc + (qj @ pi @ qj)
+        pinched.append(acc)
+    return pinched
+
+
 @pytest.fixture
 def m2():
     return BlockAlgebra((2,))

@@ -297,3 +297,14 @@ class TestTolerances:
     def test_non_integer_max_iters_rejected(self, max_iters):
         with pytest.raises(ValidationError, match="max_iters"):
             Tolerances(max_iters=max_iters)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_iters", True),
+        ("psd_tol", True),
+        ("cert_tol", np.True_),
+        ("mu_shrink", False),
+    ])
+    def test_boolean_tolerance_rejected(self, name, value):
+        # bool is an int subclass: True would otherwise pass as 1 or 1.0.
+        with pytest.raises(ValidationError, match=name):
+            Tolerances(**{name: value})

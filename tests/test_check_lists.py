@@ -23,11 +23,10 @@ def _rounding(prefix, result):
         (prefix + "selection_value", 1.0 - result["defect"] - 1e-9),
         (prefix + "rank_sum_defect", 0.0),
         (prefix + "selection_commutation", 1e-6),
-        (prefix + "pvm_idempotency", 1e-8),
-        (prefix + "pvm_sum_residual", 1e-8),
+        (prefix + "pvm_idempotency", 1e-9),
+        (prefix + "pvm_sum_residual", 1e-9),
         (prefix + "midpoint_identity", 1e-7),
         (prefix + "converse_bound", -1e-7),
-        (prefix + "pvm_valid", 0.0),
     ]
 
 
@@ -47,8 +46,7 @@ def _repair(result, inst):
         ("error_vs_10defect", 10.0 * result["epsilon_c"] + 1e-7),
         ("identity_residual", 1e-10),
         ("output_commutators", 1e-9),
-        ("inner_error_vs_9defect", 9.0 * result["inner"]["defect"] + 1e-7),
-    ]
+    ] + _rounding("inner_", result["inner"])
 
 
 def _fourier(result, inst):

@@ -328,10 +328,10 @@ class TestValidationPasses:
         return len(calls)
 
     def test_orthogonalize_job(self, monkeypatch, tmp_path):
-        # State gate K, POVM gate nK, output gate of OrthReport.checks nK.
+        # State gate K and POVM gate nK; OrthReport.checks reads stored certificates.
         inst = gen_instance("random_povm_near_pvm", 3, {"dims": [2, 3, 1], "n": 3, "delta": 0.2})
         n, k = inst.povm.n, inst.algebra.num_blocks
-        assert self._eigvalsh_calls(monkeypatch, tmp_path, "orthogonalize", inst) == (2 * n + 1) * k
+        assert self._eigvalsh_calls(monkeypatch, tmp_path, "orthogonalize", inst) == (n + 1) * k
 
     def test_majorant_job(self, monkeypatch, tmp_path):
         # Family gate nK, then feasibility and dual positivity of the certificate nK each.

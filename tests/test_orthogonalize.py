@@ -1,5 +1,6 @@
 """Projection selection, polar completion, POVM rounding, symmetry mode."""
 
+import dataclasses
 import itertools
 import math
 
@@ -22,7 +23,12 @@ from povmround import (
     select_projections,
     validate_pvm,
 )
-from povmround.algebra import hermitian_eigh, hermitian_sqrt, projection_range
+from povmround.algebra import (
+    hermitian_eigh,
+    hermitian_sqrt,
+    idempotency_residual,
+    projection_range,
+)
 from povmround.generators import (
     counterexample_triple,
     gen_instance,
@@ -171,7 +177,7 @@ class TestSelectProjections:
             assert sel.lp_value >= feas - 1e-9
             assert sel.value >= 1.0 - defect(phi, a) - 1e-9
             assert sel.commutation_residual <= 1e-6
-            assert sel.idempotency_residual <= 1e-9
+            assert idempotency_residual(sel.projections) <= 1e-9
 
     @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.2])
     def test_matches_per_cluster_eigh_oracle(self, delta):
@@ -461,6 +467,38 @@ class TestOrthogonalize:
         a = Povm(alg, [alg.diagonal([[1.0, 1.0, 0.0]]), alg.diagonal([[0.0, 0.0, 1.0]])])
         calls = _count_decompositions(monkeypatch, alg, State.normalized_trace(alg), a)
         assert calls == {"eigh": 2 + 2 + 1, "eigvalsh": 2 + 1}
+
+    def test_stored_pvm_gate_agrees_with_validate_pvm(self):
+        # The stored idempotency and sum residuals are the whole PVM gate of
+        # OrthReport.checks: they pass exactly where validate_pvm does, also
+        # on an output moved to an idempotency residual in (1e-9, 1e-8], which
+        # the former 1e-8 gate let through.
+        rng = rng_for(11)
+        alg = BlockAlgebra((3, 2))
+        phi = random_density(alg, rng)
+        rep = orthogonalize(alg, phi, random_povm_near_pvm(alg, 3, 0.2, rng))
+
+        def gate(report):
+            checks = {c.name: c.passed for c in report.checks()}
+            return checks["pvm_idempotency"] and checks["pvm_sum_residual"]
+
+        assert gate(rep) and validate_pvm(alg, rep.pvm).is_valid
+
+        # p_0 -> (1 + t) p_0 and p_1 -> p_1 - t p_0 keep the sum and give both
+        # elements the idempotency residual (t + t^2) ||p_0||_F.
+        p0, p1, p2 = rep.pvm.elements
+        t = 4e-9 / p0.norm_fro()
+        moved = Pvm(alg, [(1.0 + t) * p0, p1 - t * p0, p2])
+        certs = dataclasses.replace(
+            rep.certificates,
+            pvm_idempotency=idempotency_residual(moved.elements),
+            pvm_sum_residual=moved.sum_residual(),
+        )
+        moved_rep = dataclasses.replace(rep, pvm=moved, certificates=certs)
+        assert 1e-9 < certs.pvm_idempotency <= 1e-8
+        assert certs.pvm_sum_residual <= 1e-9
+        assert not gate(moved_rep)
+        assert not validate_pvm(alg, moved).is_valid
 
     def test_ratio_inf_safe(self, m2, trace_state_m2):
         assert _safe_ratio(0.0, 0.0) == 0.0

@@ -24,7 +24,7 @@ from povmround import (
 from povmround.generators import gen_instance, random_pvm, rotated_pvm_pair
 from povmround.repair import commutant_of_pvm
 
-from conftest import random_density, random_element, rng_for
+from conftest import ambient_pinching_oracle, random_density, random_element, rng_for
 
 
 def rotated_pair(theta):
@@ -99,6 +99,30 @@ class TestCompressPovm:
         back = comm.embed_pvm(q_sub)
         assert back.algebra.dims == alg.dims
         assert max((a - b).norm_fro() for a, b in zip(back.elements, q.elements)) <= 1e-12
+
+    @pytest.mark.parametrize("seed,theta", [(0, 0.1), (1, 0.4), (2, 0.65)])
+    def test_matches_ambient_pinching_oracle(self, seed, theta):
+        # Block 1 is 1 x 1, so at least three of the four q_j are empty there.
+        alg, phi, p, q = rotated_pvm_pair(theta, (1, 3, 2), 5, 4, rng_for(seed))
+        assert any(
+            not np.any(qj.blocks[k]) for qj in q.elements for k in range(alg.num_blocks)
+        )
+        comp = compress_povm(p, q, phi)
+        pinched = ambient_pinching_oracle(p, q)
+        comm = comp.commutant
+        assert max(
+            (a - comm.compress(b)).norm_fro() for a, b in zip(comp.povm.elements, pinched)
+        ) <= 1e-13
+        pinch_cost = sum(phi_norm_sq(phi, x - b) for x, b in zip(p.elements, pinched))
+        compressed_defect = 1.0 - sum(phi.expect(b @ b).real for b in pinched)
+        assert comp.pinch_cost == pytest.approx(pinch_cost, abs=1e-14)
+        assert comp.compressed_defect == pytest.approx(compressed_defect, abs=1e-14)
+
+    def test_compressed_defect_is_the_inner_defect(self):
+        alg, phi, p, q = rotated_pvm_pair(0.3, (1, 3, 2), 5, 4, rng_for(3))
+        comp = compress_povm(p, q, phi)
+        rep = repair(phi, p, q)
+        assert rep.inner.defect == comp.compressed_defect
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -178,6 +202,7 @@ class TestRepair:
             assert rep.identity_residual <= 1e-10
             assert rep.inner.error <= 9 * rep.inner.defect + 1e-7
             assert validate_pvm(inst.algebra, rep.pvm_repaired).is_valid
+            assert all(c.passed for c in rep.checks())
 
     def test_multi_block_ambient_algebra(self):
         for seed in (0, 1, 2):
