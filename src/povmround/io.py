@@ -1,7 +1,8 @@
 """Instance and report files: versioned JSON with exact float round-trips.
 
 Complex matrices are stored as nested row-major arrays of [re, im] pairs.
-Floats are emitted in Python's shortest round-trip decimal form, so
+A file is one compact JSON line, which CPython's C encoder writes.  Floats
+are emitted in Python's shortest round-trip decimal form, so
 load(save(x)) reproduces every matrix entry bit for bit.  This module only
 decodes.  An unreadable path or a malformed document (not an object, a missing
 key, a matrix not of [re, im] rows, a non-finite entry) is a ``ValidationError``,
@@ -38,7 +39,7 @@ FORMAT_VERSION = 1
 
 
 def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2).tolist()
 
 
 def _decode_entry(re, im) -> complex:
@@ -133,9 +134,10 @@ class Instance:
 
 
 def dumps(doc: dict) -> str:
+    # No indent: with one, CPython falls back to its pure-Python encoder.
     # allow_nan=False keeps the files strict JSON; non-finite values must be
     # mapped to null by the caller before they reach serialization
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_instance(inst: Instance, path) -> None:

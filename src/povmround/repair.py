@@ -107,7 +107,6 @@ class CompressedPovm:
     pinch_cost: float          # sum_i ||p_i - a_i||_phi^2 in the ambient algebra
     compressed_defect: float   # 1 - phi(sum_i a_i^2)
     identity_residual: float   # |eps_c - pinch_cost - compressed_defect|
-    imag_residual: float       # |Im sum_i phi(a_i p_i)|
 
 
 def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> CompressedPovm:
@@ -120,22 +119,11 @@ def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> 
 
     # Compressing p_i is compressing its pinching: V_j^H p_i V_j = V_j^H a_i V_j.
     phi_restricted, compressed = comm.restrict(phi, p.elements)
-    ambient_a = [comm.embed(c) for c in compressed.elements]
-    pinch_cost = phi_distance_sq(phi, p.elements, ambient_a)
+    pinch_cost = phi_distance_sq(phi, p.elements, [comm.embed(c) for c in compressed.elements])
     compressed_defect = defect(phi_restricted, compressed)
     identity_residual = abs(eps_c - pinch_cost - compressed_defect)
-    imag_residual = abs(
-        sum(phi.expect(ai @ pi) for ai, pi in zip(ambient_a, p.elements)).imag
-    )
     return CompressedPovm(
-        comm,
-        compressed,
-        phi_restricted,
-        eps_c,
-        pinch_cost,
-        compressed_defect,
-        identity_residual,
-        imag_residual,
+        comm, compressed, phi_restricted, eps_c, pinch_cost, compressed_defect, identity_residual
     )
 
 

@@ -316,6 +316,13 @@ def ambient_pinching_oracle(p: Pvm, q: Pvm) -> list[AlgebraElement]:
     return pinched
 
 
+def per_entry_encode_oracle(m: np.ndarray) -> list:
+    """A complex matrix as nested row-major [re, im] pairs, one Python float
+    per entry.  The per-entry encoder that io.py's one ``tolist`` replaced;
+    used as a test oracle."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
 @pytest.fixture
 def m2():
     return BlockAlgebra((2,))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from povmround import (
+    AlgebraElement,
+    BlockAlgebra,
     Povm,
     Tolerances,
     ValidationError,
@@ -16,9 +18,17 @@ from povmround import (
 )
 from povmround.cli import build_tolerances, main
 from povmround.generators import gen_instance
-from povmround.io import dumps, load_instance, load_report, save_instance
+from povmround.io import (
+    _encode_matrix,
+    decode_element,
+    dumps,
+    encode_element,
+    load_instance,
+    load_report,
+    save_instance,
+)
 
-from conftest import mixed_pvm, trace_two_state
+from conftest import mixed_pvm, per_entry_encode_oracle, trace_two_state
 
 
 class TestSerialization:
@@ -58,6 +68,108 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_instance(path)
+
+
+def _complex(re, im):
+    """The complex matrix with exactly these real and imaginary parts (keeps -0.0)."""
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+_EXTREMES = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -5e-324]])
+_GENERIC = np.random.default_rng(3).standard_normal((4, 3, 2)).view(complex)[..., 0]
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("m", [
+        _GENERIC,
+        _GENERIC.T,
+        np.asfortranarray(_GENERIC),
+        _GENERIC[::2, ::-1],
+        np.arange(6.0).reshape(2, 3),
+        np.array([[0.25 - 0.5j]]),
+        np.array([[-0.0]]),
+        _EXTREMES,
+        _complex(_EXTREMES, _EXTREMES.T),
+        _complex(_EXTREMES.T, _EXTREMES).T,
+    ], ids=["generic", "transposed", "fortran", "strided", "real", "1x1", "1x1-negzero",
+            "extremes-real", "extremes-complex", "extremes-transposed"])
+    def test_matches_per_entry_oracle_text(self, m):
+        # Text, not ==: -0.0 == 0.0, but the files must keep the sign.
+        assert json.dumps(_encode_matrix(m)) == json.dumps(per_entry_encode_oracle(m))
+
+    def test_extreme_entries_roundtrip_bitwise(self):
+        m = _complex(_EXTREMES, _EXTREMES.T)
+        alg = BlockAlgebra((2,))
+        back = decode_element(alg, json.loads(dumps(encode_element(AlgebraElement(alg, [m])))))
+        assert back.blocks[0].tobytes() == m.tobytes()
+        assert np.signbit(back.blocks[0].real[0, 0]) and np.signbit(back.blocks[0].imag[0, 0])
+
+
+class TestLayout:
+    def test_saved_files_are_one_line(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        report_path = tmp_path / "report.json"
+        save_instance(gen_instance("random_povm_near_pvm", 5, {"dims": [3, 2], "n": 3}), inst_path)
+        assert main(["orthogonalize", "--in", str(inst_path), "--out", str(report_path)]) == 0
+        for path in (inst_path, report_path):
+            text = path.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_stdout_summary_is_one_json_line(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        assert main([
+            "gen", "--kind", "linfty2_family", "--seed", "0",
+            "--param", "c=0.1", "--out", str(inst_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["orthogonalize", "--in", str(inst_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        summary = json.loads(out)
+        assert summary["command"] == "orthogonalize" and summary["pass"] is True
+
+
+def _indented_copy(path, out):
+    """The file at ``path`` rewritten in the indented layout of older releases."""
+    out.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
+    return out
+
+
+class TestIndentedFilesStillLoad:
+    @pytest.mark.parametrize("kind,seed,params,commands", [
+        ("linfty2_family", 1, ["c=0.1"], ["orthogonalize", "orthogonalize-sym"]),
+        ("random_povm_near_pvm", 9, ["dims=4", "n=3", "delta=0.2"],
+         ["orthogonalize", "orthogonalize-sym"]),
+        ("rotated_pvm_pair", 2, ["theta=0.1", "canonical=true"], ["repair", "fourier"]),
+        ("random_functionals", 3, ["dims=3", "n=3"], ["majorant"]),
+    ])
+    def test_same_results_as_compact(self, tmp_path, kind, seed, params, commands):
+        compact = tmp_path / "compact.json"
+        gen = ["gen", "--kind", kind, "--seed", str(seed), "--out", str(compact)]
+        assert main(gen + [arg for p in params for arg in ("--param", p)]) == 0
+        indented = _indented_copy(compact, tmp_path / "indented.json")
+        assert indented.read_text().count("\n") > 1
+        assert load_instance(indented).to_json() == load_instance(compact).to_json()
+
+        def digests(command, paths):
+            """The canonical JSON of each report's result and checks."""
+            out = []
+            for i, path in enumerate(paths):
+                report = tmp_path / f"{command}.{i}.json"
+                assert main([command, "--in", str(path), "--out", str(report)]) == 0
+                doc = load_report(report)
+                out.append(json.dumps([doc["result"], doc["checks"]], sort_keys=True))
+            return out
+
+        for command in commands:
+            first, second = digests(command, (compact, indented))
+            assert first == second
+        if commands == ["majorant"]:  # verify reads a report: indent that too
+            report = tmp_path / "majorant.0.json"
+            first, second = digests(
+                "verify", (report, _indented_copy(report, tmp_path / "indented.majorant.json"))
+            )
+            assert first == second
 
 
 class TestGenerators:
