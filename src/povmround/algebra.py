@@ -72,41 +72,32 @@ def check_geq(name: str, value: float, threshold: float) -> BoundCheck:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the package.
+    """The three tolerances a caller may set per run.
 
-    cluster_tol groups nearby eigenvalues of each POVM element for the
-    projection selection, rank_tol is the relative singular-value cutoff of
-    the symmetry-mode commutant solve and nothing else, psd_tol is the
-    allowed negativity slack for positivity checks, and cert_tol is the
-    residual allowed in exact-identity certificates.  The minimal-majorant
-    barrier solver shrinks mu by mu_shrink per stage, centers each stage to
-    gradient norm newton_tol, stops at a certified gap of gap_tol (relative to
-    the family's scale), and takes at most max_iters Newton steps per stage
-    and max_iters stages.  Blocks above majorant.DENSE_STEP_MAX_DIM take
-    inexact Newton steps, solved by CG to a relative residual
-    min(0.1, gradient norm); newton_tol still gates their centering.
+    psd_tol and cert_tol say how far an input may be from its invariant:
+    psd_tol bounds the negativity of a state, POVM element or functional,
+    cert_tol the residual of an input identity (trace one, sum to the
+    identity, Hermiticity, idempotency, and the unitarity and order of
+    repair's unitaries).  No output gate reads either, so loosening them
+    admits more inputs but never a weaker certificate.  gap_tol is the
+    duality gap, relative to the family's scale, that minimal_majorant aims
+    for and its gap check accepts.  Solver internals are constants beside
+    their solver: orthogonalize.CLUSTER_TOL, SCORE_CLIP_TOL and
+    COMMUTANT_RANK_TOL, and majorant.MU_SHRINK, NEWTON_TOL, MAX_NEWTON_STEPS
+    and MAX_STAGES.
     """
 
-    cluster_tol: float = 1e-8
-    rank_tol: float = 1e-10
     psd_tol: float = 1e-9
     cert_tol: float = 1e-9
-    mu_shrink: float = 0.25
-    newton_tol: float = 1e-7
     gap_tol: float = 1e-6
-    max_iters: int = 200
 
     def __post_init__(self):
-        for f in fields(self):  # bool is an int subclass: True would pass as 1
-            if isinstance(getattr(self, f.name), (bool, np.bool_)):
+        for f in fields(self):  # bool is an int subclass: True would pass as 1.0
+            value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
                 raise ValidationError(f"{f.name} must be a number, not a boolean")
-        for name in ("cluster_tol", "rank_tol", "psd_tol", "cert_tol", "newton_tol", "gap_tol"):
-            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
-                raise ValidationError(f"{name} must be finite and positive")
-        if not (0.0 < self.mu_shrink < 1.0):
-            raise ValidationError("mu_shrink must lie in (0, 1)")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValidationError("max_iters must be a positive integer")
+            if not 0 < value < math.inf:  # false for NaN too
+                raise ValidationError(f"{f.name} must be finite and positive")
 
     def replace(self, **kwargs) -> "Tolerances":
         unknown = set(kwargs) - {f.name for f in fields(self)}
@@ -207,9 +198,6 @@ class AlgebraElement:
         self._check_same(other)
         return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
 
-    def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
-
     def __mul__(self, scalar):
         return AlgebraElement(self.algebra, [scalar * a for a in self.blocks])
 
@@ -253,6 +241,15 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.algebra.dims})"
+
+
+def element_sum(xs: Sequence[AlgebraElement]) -> AlgebraElement:
+    """xs[0] + xs[1] + ..., added left to right, so the result is bitwise
+    reproducible."""
+    total = xs[0]
+    for x in xs[1:]:
+        total = total + x
+    return total
 
 
 def hermitian_eigh(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -377,17 +374,10 @@ class Povm:
     def n(self) -> int:
         return len(self.elements)
 
-    def sum(self) -> AlgebraElement:
-        total = self.elements[0]
-        for e in self.elements[1:]:
-            total = total + e
-        return total
-
     def sum_residual(self) -> float:
         """Largest entry of |sum_i a_i - 1| over all blocks."""
-        return max(
-            float(np.abs(b - np.eye(d)).max()) for b, d in zip(self.sum().blocks, self.algebra.dims)
-        )
+        total = element_sum(self.elements)
+        return max(float(np.abs(b - np.eye(d)).max()) for b, d in zip(total.blocks, self.algebra.dims))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, dims={self.algebra.dims})"

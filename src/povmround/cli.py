@@ -159,7 +159,7 @@ def _cmd_verify(path: str, tol: Tolerances):
         "gap": sol.gap,
         "verified_input": doc.get("input_digest", ""),
     }
-    return result, sol.checks(f, tol) + sol.claim_checks(stored, f, tol)
+    return result, sol.checks(f, tol) + sol.claim_checks(stored, f)
 
 
 def _sweep_config(seed: int, max_dim: int, max_outputs: int):
@@ -248,8 +248,7 @@ def _parse_items(items, what: str, types: dict) -> dict:
 
 
 def build_tolerances(tol_flags) -> Tolerances:
-    types = {key: type(val) for key, val in DEFAULT_TOL.as_dict().items()}
-    return DEFAULT_TOL.replace(**_parse_items(tol_flags or [], "tolerance override", types))
+    return DEFAULT_TOL.replace(**_parse_items(tol_flags or [], "tolerance override", {}))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,8 @@ Tr(z) - mu * sum_i log det(z - a_i) by damped Newton steps per central
 block, with the dual iterate t_i = mu * (z - a_i)^{-1}.  At a Newton
 stationary point sum_i t_i = 1 and z - sum_i t_i a_i = n * mu * 1 hold
 identically, so n * mu * dim certifies the duality gap, and mu is shrunk
-until that certificate meets gap_tol.
+by MU_SHRINK per stage until that certificate meets gap_tol.  Each stage
+centres every block to gradient norm NEWTON_TOL.
 
 The Newton system of a block of size d is mu * sum_i W_i S W_i = -G with
 W_i = (z - a_i)^{-1} and G the barrier gradient.  Up to DENSE_STEP_MAX_DIM
@@ -39,12 +40,14 @@ from .algebra import (
     ValidationError,
     check_geq,
     check_leq,
+    element_sum,
     hermitian_part,
     require_finite,
 )
 
 # Thresholds of the certified optimality bounds, relative to FunctionalFamily.scale();
-# positivity and the duality gap use psd_tol, cert_tol and gap_tol from Tolerances.
+# the gap's upper end is the run's gap_tol.
+EXACT_TOL = 1e-9             # -lambda_min(z - a_i), -lambda_min(t_i), -gap, |stored - recomputed|
 POVM_SUM_TOL = 1e-8          # ||sum_i t_i - 1||_F
 SLACKNESS_TOL = 1e-4         # max_i ||t_i (z - a_i)||_F and ||z - sum_i t_i a_i||_F
 
@@ -125,12 +128,10 @@ class MajorantSolution:
         res = self.residuals
         gap_bound = tol.gap_tol * scale
         return [
-            check_geq("feasibility", res.feasibility, -tol.psd_tol * scale),
-            check_geq("dual_positivity", res.dual_positivity, -tol.psd_tol * scale),
+            check_geq("feasibility", res.feasibility, -EXACT_TOL * scale),
+            check_geq("dual_positivity", res.dual_positivity, -EXACT_TOL * scale),
             check_leq("povm_sum", res.povm_sum, POVM_SUM_TOL * scale),
-            BoundCheck(
-                "gap", self.gap, gap_bound, -tol.cert_tol * scale <= self.gap <= gap_bound
-            ),
+            BoundCheck("gap", self.gap, gap_bound, -EXACT_TOL * scale <= self.gap <= gap_bound),
             check_leq("slackness", res.slackness, SLACKNESS_TOL * scale),
             check_leq("reconstruction", res.reconstruction, SLACKNESS_TOL * scale),
         ]
@@ -150,11 +151,9 @@ class MajorantSolution:
             },
         }
 
-    def claim_checks(
-        self, stored: dict, f: FunctionalFamily, tol: Tolerances = DEFAULT_TOL
-    ) -> list[BoundCheck]:
+    def claim_checks(self, stored: dict, f: FunctionalFamily) -> list[BoundCheck]:
         """Each value of ``claims()`` as ``stored`` (a report's result) states it,
-        against this solution's own: |stored - value| <= cert_tol * f.scale().
+        against this solution's own: |stored - value| <= EXACT_TOL * f.scale().
         A stored claim that is missing or not a number is a ValidationError."""
         own = self.claims()
         res = stored.get("residuals") if isinstance(stored.get("residuals"), dict) else {}
@@ -168,7 +167,7 @@ class MajorantSolution:
                 claim = float(claim)  # a JSON integer too large for a float overflows here
             except (TypeError, OverflowError):
                 raise ValidationError(f"report claim {key!r} is missing or not a number") from None
-            checks.append(check_leq(f"stored_{key}", abs(claim - value), tol.cert_tol * f.scale()))
+            checks.append(check_leq(f"stored_{key}", abs(claim - value), EXACT_TOL * f.scale()))
         return checks
 
 
@@ -177,26 +176,14 @@ def majorant_certificate(
 ) -> MajorantSolution:
     """Objective values and residuals of a candidate pair (z, t), computed from
     the pair alone, so no solver state can leak into its certificate."""
-    n = f.n
-    blocks = range(z.algebra.num_blocks)
     primal = z.trace().real
-    dual_value = sum((f.elements[i] @ duals[i]).trace().real for i in range(n))
+    dual_value = sum((a @ t).trace().real for a, t in zip(f.elements, duals))
     residuals = MajorantResiduals(
-        feasibility=min(
-            float(np.linalg.eigvalsh(hermitian_part((z - e).blocks[k])).min())
-            for e in f.elements
-            for k in blocks
-        ),
-        dual_positivity=min(
-            float(np.linalg.eigvalsh(hermitian_part(t.blocks[k])).min())
-            for t in duals
-            for k in blocks
-        ),
-        povm_sum=(sum(duals[1:], duals[0]) - z.algebra.identity()).norm_fro(),
-        slackness=max((duals[i] @ (z - f.elements[i])).norm_fro() for i in range(n)),
-        reconstruction=(
-            z - sum((duals[i] @ f.elements[i] for i in range(1, n)), duals[0] @ f.elements[0])
-        ).norm_fro(),
+        feasibility=min(float(w.min()) for e in f.elements for w in (z - e).eigvals()),
+        dual_positivity=min(float(w.min()) for t in duals for w in t.eigvals()),
+        povm_sum=(element_sum(duals) - z.algebra.identity()).norm_fro(),
+        slackness=max((t @ (z - a)).norm_fro() for t, a in zip(duals, f.elements)),
+        reconstruction=(z - element_sum([t @ a for t, a in zip(duals, f.elements)])).norm_fro(),
     )
     return MajorantSolution(
         majorant=z,
@@ -266,7 +253,12 @@ def _cg_step(inverses, grad, mu):
     return step
 
 
-def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
+# Centering ends at gradient norm NEWTON_TOL, or fails after MAX_NEWTON_STEPS steps.
+NEWTON_TOL = 1e-7
+MAX_NEWTON_STEPS = 200
+
+
+def _newton_center(z_blocks, fam_blocks, mu):
     """Damped Newton minimization of the barrier at fixed mu, per block; each
     fam_blocks[k] is the (n, d, d) stack of the functionals' k-th blocks."""
     iters = 0
@@ -280,10 +272,10 @@ def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
             hess = np.empty((d * d, d * d), dtype=complex)
             term = np.empty_like(hess)
         current = _barrier(z, fam, mu)
-        for _ in range(tol.max_iters):
+        for _ in range(MAX_NEWTON_STEPS):
             inverses = np.linalg.inv(hermitian_part(z - fam))
             grad = eye - mu * np.sum(inverses, axis=0)
-            if np.linalg.norm(grad) <= tol.newton_tol:
+            if np.linalg.norm(grad) <= NEWTON_TOL:
                 break
             if dense:
                 _assemble_hessian(inverses, mu, hess, term)
@@ -319,6 +311,11 @@ def _newton_center(z_blocks, fam_blocks, mu, tol: Tolerances):
     return z_blocks, iters
 
 
+# mu shrinks by MU_SHRINK per stage, for at most MAX_STAGES stages.
+MU_SHRINK = 0.25
+MAX_STAGES = 200
+
+
 def minimal_majorant(
     alg: BlockAlgebra, f: FunctionalFamily, tol: Tolerances = DEFAULT_TOL
 ) -> MajorantSolution:
@@ -339,14 +336,14 @@ def minimal_majorant(
     mu_target = 0.5 * gap_target / (n * dim)
     mu = max(top + 1.0, mu_target)
     total_iters = 0
-    for _ in range(tol.max_iters):
-        z_blocks, it = _newton_center(z_blocks, fam_blocks, mu, tol)
+    for _ in range(MAX_STAGES):
+        z_blocks, it = _newton_center(z_blocks, fam_blocks, mu)
         total_iters += it
         if mu <= mu_target:
             break
-        mu = max(mu * tol.mu_shrink, mu_target)
+        mu = max(mu * MU_SHRINK, mu_target)
     else:
-        raise SolverError("barrier loop exhausted max_iters before reaching gap_tol")
+        raise SolverError(f"barrier loop ran {MAX_STAGES} stages without reaching gap_tol")
 
     z = AlgebraElement(alg, z_blocks)
     stacks = [
@@ -356,7 +353,7 @@ def minimal_majorant(
     raw_duals = [AlgebraElement(alg, [t[i] for t in stacks]) for i in range(n)]
 
     # Restore exact dual feasibility: spread the stationarity residual evenly.
-    residual = alg.identity() - sum(raw_duals[1:], raw_duals[0])
+    residual = alg.identity() - element_sum(raw_duals)
     duals = [t + (1.0 / n) * residual for t in raw_duals]
     return replace(majorant_certificate(f, z, duals), mu_final=mu, newton_iterations=total_iters)
 

@@ -67,6 +67,9 @@ _GENERIC_SEED = 0x5EED
 # Fresh generic draws tried before the block decomposition gives up; every
 # decomposition in the tests and the benchmark succeeds on the first draw.
 DECOMPOSE_ATTEMPTS = 8
+# A draw is accepted when its compress/embed round trip moves no generator by
+# more than DECOMPOSE_RESIDUAL_TOL * max(1, largest spectral radius).
+DECOMPOSE_RESIDUAL_TOL = 1e-8
 # Relative eigenvalue gap at which the null-space solve splits the spectrum of
 # its generic combination.  Eigenvalues closer than this share a run and only
 # add unknowns; runs this far apart keep eigenvector errors near 1e-12.
@@ -164,6 +167,12 @@ def _safe_ratio(error: float, eps0: float) -> float:
     return 0.0 if error <= 0.0 else math.inf
 
 
+# The selection clusters each POVM element's eigenvalues at the absolute gap
+# CLUSTER_TOL, and clips a score below -SCORE_CLIP_TOL to 0 with a warning.
+CLUSTER_TOL = 1e-8
+SCORE_CLIP_TOL = 1e-9
+
+
 def select_projections(
     alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances = DEFAULT_TOL
 ) -> SelectionResult:
@@ -184,7 +193,7 @@ def select_projections(
     # cluster (lambda, B) of one output; a cluster of multiplicity 1 is one
     # item, its 1 x 1 score matrix needs no eigh.
     eigenpairs = [hermitian_eigh(e) for e in a.elements]
-    clusters_per_output = [spectral_clusters(eigs, tol.cluster_tol) for eigs in eigenpairs]
+    clusters_per_output = [spectral_clusters(eigs, CLUSTER_TOL) for eigs in eigenpairs]
 
     bases = []
     lp_value = 0.0
@@ -202,9 +211,9 @@ def select_projections(
                     pairs = [(w[j], basis @ v[:, j]) for j in reversed(range(len(w)))]
                 for j, (s, vec) in enumerate(pairs):
                     s = float(s)
-                    if s < -tol.cert_tol:
+                    if s < -SCORE_CLIP_TOL:
                         warnings.warn(
-                            f"selection score {s:.3e} below -cert_tol clipped to 0 "
+                            f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
                             f"(block {k}, output {i})",
                             RuntimeWarning,
                         )
@@ -400,9 +409,7 @@ def _intertwiner(left: np.ndarray, generic: np.ndarray, right: np.ndarray, cut: 
     return t * (ref.conj() / abs(ref))
 
 
-def decompose_generated_algebra(
-    elements: Sequence[AlgebraElement], tol: Tolerances = DEFAULT_TOL
-) -> GeneratedAlgebra:
+def decompose_generated_algebra(elements: Sequence[AlgebraElement]) -> GeneratedAlgebra:
     """Identify the algebra generated by a Hermitian family with a direct sum
     of full matrix blocks carrying multiplicities.
 
@@ -429,12 +436,12 @@ def decompose_generated_algebra(
         herm.append(h)
 
     scale = max(1.0, max(h.spectral_radius() for h in herm))
-    bound = 10.0 * tol.cert_tol * scale
+    bound = DECOMPOSE_RESIDUAL_TOL * scale
     last_failure = ""
     for attempt in range(DECOMPOSE_ATTEMPTS):
         rng = np.random.default_rng(_GENERIC_SEED + attempt)
         try:
-            result = _decompose_once(alg, herm, rng, tol)
+            result = _decompose_once(alg, herm, rng)
         except SolverError as exc:
             last_failure = str(exc)
             continue
@@ -446,7 +453,10 @@ def decompose_generated_algebra(
     )
 
 
-def _decompose_once(alg, herm, rng, tol) -> GeneratedAlgebra:
+COMMUTANT_RANK_TOL = 1e-10  # relative singular-value cutoff of the commutant solve
+
+
+def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
     sub_dims = []
     mults = []
     ambient_of = []
@@ -456,7 +466,7 @@ def _decompose_once(alg, herm, rng, tol) -> GeneratedAlgebra:
 
     for k, d in enumerate(alg.dims):
         family = [h.blocks[k] for h in herm]
-        comm = _commutant_basis(family, tol.rank_tol)
+        comm = _commutant_basis(family, COMMUTANT_RANK_TOL)
         for y in comm:
             blocks = [np.zeros((dd, dd), dtype=complex) for dd in alg.dims]
             nrm = np.linalg.norm(y)
@@ -567,7 +577,7 @@ def orthogonalize_symmetry_preserving(
     require_valid(validate_state(alg, phi, tol), "input is not a valid state")
     require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
 
-    decomp = decompose_generated_algebra(list(a.elements), tol)
+    decomp = decompose_generated_algebra(list(a.elements))
     inner = orthogonalize(decomp.sub, *decomp.restrict(phi, a.elements), tol)
     pvm = decomp.embed_pvm(inner.pvm)
 

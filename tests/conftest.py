@@ -13,10 +13,10 @@ from povmround import (
     Pvm,
     SolverError,
     State,
-    Tolerances,
 )
-from povmround.algebra import DEFAULT_TOL, hermitian_part, projection_range
+from povmround.algebra import hermitian_part, projection_range
 from povmround.majorant import majorant_certificate
+from povmround.orthogonalize import CLUSTER_TOL, COMMUTANT_RANK_TOL, SCORE_CLIP_TOL
 
 
 def rng_for(seed):
@@ -129,7 +129,6 @@ def kernel_completion_oracle(
     alg: BlockAlgebra,
     columns: Sequence[np.ndarray],
     targets: Sequence[AlgebraElement],
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """Polar part of a tall block column map, completed to an exact isometry.
 
@@ -177,7 +176,7 @@ def kernel_completion_oracle(
             )
 
         u_left, s, vh = np.linalg.svd(x, full_matrices=False)
-        cutoff = tol.rank_tol * (float(s[0]) if s.size and s[0] > 0 else 1.0)
+        cutoff = COMMUTANT_RANK_TOL * (float(s[0]) if s.size and s[0] > 0 else 1.0)
         r = int(np.sum(s > cutoff))
         u0 = u_left[:, :r] @ vh[:r, :]
 
@@ -255,14 +254,14 @@ def range_basis_polar_oracle(
 
 
 def per_cluster_eigh_selection_oracle(
-    alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances = DEFAULT_TOL
+    alg: BlockAlgebra, phi: State, a: Povm
 ) -> tuple[list[list[np.ndarray]], float]:
     """The projection selection with one decomposition per cluster.
 
     Each element is diagonalised on its own, its eigenvalues are clustered at
-    cluster_tol * max(1, spectral radius), and every cluster, 1 x 1 ones
+    CLUSTER_TOL * max(1, spectral radius), and every cluster, 1 x 1 ones
     included, gets its own eigh of the score matrix lambda * B^H rho B; a
-    score below -cert_tol counts as 0.  Returns (bases, lp_value) with
+    score below -SCORE_CLIP_TOL counts as 0.  Returns (bases, lp_value) with
     bases[k][i] as in SelectionResult.  This is the selection that the shared
     per-element decomposition in orthogonalize.py replaced; used as a test
     oracle.
@@ -276,7 +275,7 @@ def per_cluster_eigh_selection_oracle(
         for i, e in enumerate(a.elements):
             w, v = np.linalg.eigh(hermitian_part(e.blocks[k]))
             w, v = w[::-1], v[:, ::-1]
-            gap = tol.cluster_tol * max(1.0, radii[i])
+            gap = CLUSTER_TOL * max(1.0, radii[i])
             start = 0
             for end in range(1, d + 1):
                 if end < d and w[end - 1] - w[end] <= gap:
@@ -286,7 +285,7 @@ def per_cluster_eigh_selection_oracle(
                 sw, sv = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
                 sw, sv = sw[::-1], sv[:, ::-1]
                 for j in range(len(sw)):
-                    score = 0.0 if sw[j] < -tol.cert_tol else float(sw[j])
+                    score = 0.0 if sw[j] < -SCORE_CLIP_TOL else float(sw[j])
                     items.append((score, i, -lam, j, basis @ sv[:, j]))
                 start = end
         items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))

@@ -382,7 +382,8 @@ class TestToleranceOverrides:
             "gen", "--kind", "linfty2_family", "--seed", "0",
             "--param", "c=0.1", "--out", str(inst_path),
         ]) == 0
-        for flag in ("bogus=1", "mu0_scale=2"):
+        removed = ("cluster_tol", "rank_tol", "mu_shrink", "newton_tol", "max_iters")
+        for flag in ("bogus=1", "mu0_scale=2", *(f"{key}=1" for key in removed)):
             assert main(["orthogonalize", "--in", str(inst_path), "--tol", flag]) == 2
 
 

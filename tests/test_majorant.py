@@ -17,7 +17,7 @@ from povmround import (
 )
 from povmround import majorant as majorant_module
 from povmround.generators import gen_instance, random_functionals
-from povmround.majorant import _assemble_hessian
+from povmround.majorant import NEWTON_TOL, _assemble_hessian
 
 from conftest import commuting_majorant_oracle, rng_for
 
@@ -107,8 +107,7 @@ class TestMinimalMajorant:
         alg = BlockAlgebra((2, 3))
         inst = gen_instance("random_functionals", 5, {"dims": [2, 3], "n": 3})
         fam = inst.functionals
-        tol = Tolerances()
-        sol = minimal_majorant(alg, fam, tol)
+        sol = minimal_majorant(alg, fam)
         mu = sol.mu_final
         n = fam.n
         # Stationarity: sum_i mu (z - a_i)^{-1} close to the identity.
@@ -121,12 +120,12 @@ class TestMinimalMajorant:
             raw.append(AlgebraElement(alg, blocks))
         ident = alg.identity()
         stat = (sum(raw[1:], raw[0]) - ident).norm_fro()
-        assert stat <= tol.newton_tol
+        assert stat <= NEWTON_TOL
         recon = sol.majorant - sum(
             (raw[i] @ fam.elements[i] for i in range(1, n)), raw[0] @ fam.elements[0]
         )
         for k, d in enumerate(alg.dims):
-            assert np.linalg.norm(recon.blocks[k] - n * mu * np.eye(d)) <= 10 * tol.newton_tol
+            assert np.linalg.norm(recon.blocks[k] - n * mu * np.eye(d)) <= 10 * NEWTON_TOL
 
     def test_residual_scalings(self):
         for seed in (0, 1, 2, 3):

@@ -1,6 +1,7 @@
 """Projection selection, polar completion, POVM rounding, symmetry mode."""
 
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -48,6 +49,8 @@ from conftest import (
     range_basis_polar_oracle,
     rng_for,
 )
+
+orthogonalize_module = importlib.import_module("povmround.orthogonalize")
 
 
 def enumerate_abelian_pvms(alg, n):
@@ -583,13 +586,14 @@ class TestDecomposeGeneratedAlgebra:
         assert sorted(zip(d.sub.dims, d.multiplicities)) == [(2, 2), (3, 1)]
         assert len(d.commutant) == 5
 
-    def test_pieces_ignore_cluster_tol(self):
-        # cluster_tol clusters the selection's eigenvalues only: a coarse value
+    def test_pieces_ignore_cluster_tol(self, monkeypatch):
+        # CLUSTER_TOL clusters the selection's eigenvalues only: a coarse value
         # must not merge the three copies of M_4.
+        monkeypatch.setattr(orthogonalize_module, "CLUSTER_TOL", 0.5)
         rng = rng_for(6)
         alg = BlockAlgebra((12,))
         gens = [alg.element([np.kron(random_hermitian(rng, 4), np.eye(3))]) for _ in range(3)]
-        d = decompose_generated_algebra(gens, Tolerances(cluster_tol=0.5))
+        d = decompose_generated_algebra(gens)
         assert d.sub.dims == (4,)
         assert d.multiplicities == (3,)
 

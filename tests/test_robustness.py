@@ -13,7 +13,6 @@ import pytest
 from povmround import (
     BlockAlgebra,
     SolverError,
-    Tolerances,
     ValidationError,
     decompose_generated_algebra,
     orthogonalize,
@@ -22,7 +21,7 @@ from povmround import (
 )
 from povmround.generators import gen_instance, random_hermitian, rotated_pvm_pair
 from povmround.cli import _sweep_config, main
-from povmround.io import dumps
+from povmround.io import dumps, load_instance
 
 from conftest import mixed_pvm, trace_two_state
 
@@ -41,12 +40,12 @@ def majorant_report(tmp_path):
     return report_path
 
 
-def _verify_edited(tmp_path, report_path, edit):
+def _verify_edited(tmp_path, report_path, edit, *flags):
     doc = json.loads(report_path.read_text())
     edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(dumps(doc))
-    return main(["verify", "--in", str(path)])
+    return main(["verify", "--in", str(path), *flags])
 
 
 class TestMalformedValues:
@@ -278,19 +277,38 @@ def test_verify_validates_embedded_instance_with_its_tol(tmp_path, capsys):
     assert "functional 0 is not positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("max_iters", [1, 500])
-def test_decomposition_attempts_ignore_barrier_max_iters(monkeypatch, max_iters):
-    attempts = []
+@pytest.fixture
+def functionals_s3(tmp_path):
+    inst_path = tmp_path / "fun.json"
+    assert main([
+        "gen", "--kind", "random_functionals", "--seed", "3",
+        "--param", "dims=3", "--param", "n=3", "--out", str(inst_path),
+    ]) == 0
+    return inst_path
 
-    def always_fails(*args):
-        attempts.append(args)
-        raise SolverError("forced failure")
 
-    monkeypatch.setattr(orthogonalize_module, "_decompose_once", always_fails)
-    alg = BlockAlgebra((2,))
-    with pytest.raises(SolverError):
-        decompose_generated_algebra([alg.identity()], Tolerances().replace(max_iters=max_iters))
-    assert len(attempts) == orthogonalize_module.DECOMPOSE_ATTEMPTS
+def test_input_tolerance_does_not_loosen_stored_claims(functionals_s3, tmp_path, capsys):
+    # cert_tol says how far an input may be from its invariant; an edited
+    # primal and gap still fail at the fixed claim threshold.
+    report_path = tmp_path / "maj.json"
+    assert main(["majorant", "--in", str(functionals_s3), "--out", str(report_path)]) == 0
+
+    def edit(doc):
+        doc["result"]["primal"] += 1e-3
+        doc["result"]["gap"] += 1e-3
+    capsys.readouterr()
+    assert _verify_edited(tmp_path, report_path, edit, "--tol", "cert_tol=1e-3") == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == ["stored_primal", "stored_gap"]
+
+
+def test_input_tolerance_does_not_loosen_majorant_positivity(functionals_s3, tmp_path):
+    report_path = tmp_path / "maj.json"
+    argv = ["majorant", "--in", str(functionals_s3), "--out", str(report_path)]
+    assert main(argv + ["--tol", "psd_tol=1e-3"]) == 0
+    scale = load_instance(functionals_s3).functionals.scale()
+    thresholds = {c["name"]: c["threshold"] for c in json.loads(report_path.read_text())["checks"]}
+    assert thresholds["feasibility"] == -1e-9 * scale
+    assert thresholds["dual_positivity"] == -1e-9 * scale
 
 
 def test_decomposition_names_the_last_failure(monkeypatch):

@@ -10,7 +10,6 @@ from povmround import (
     Povm,
     Pvm,
     State,
-    Tolerances,
     minimal_majorant,
     orthogonalize,
     orthogonalize_symmetry_preserving,
@@ -19,6 +18,7 @@ from povmround import (
     verify_majorant_certificate,
 )
 from povmround.generators import gen_instance, haar_unitary, random_pvm
+from povmround.orthogonalize import CLUSTER_TOL
 
 from conftest import commuting_majorant_oracle
 
@@ -34,9 +34,9 @@ def two_output_povm_with_spectrum(eigs, rng):
 
 class TestClusteringStress:
     def test_gaps_below_threshold_merge_and_bound_holds(self):
-        # Eigenvalue pairs split by 3e-9 sit below the default cluster_tol of
-        # 1e-8: the clusters merge and the commutation residual degrades to the
-        # within-cluster spread, well inside the certified 10 * cluster_tol.
+        # Eigenvalue pairs split by 3e-9 sit below CLUSTER_TOL = 1e-8: the
+        # clusters merge and the commutation residual degrades to the
+        # within-cluster spread, well inside the certified 10 * CLUSTER_TOL.
         rng = np.random.default_rng(0)
         alg, a = two_output_povm_with_spectrum(
             [0.7, 0.7 + 3e-9, 0.3, 0.3 - 3e-9], rng
@@ -44,7 +44,7 @@ class TestClusteringStress:
         phi = State(alg, [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)])
         rep = orthogonalize(alg, phi, a)
         assert rep.error <= 9 * rep.defect + 1e-7
-        assert rep.selection.commutation_residual <= 10 * Tolerances().cluster_tol
+        assert rep.selection.commutation_residual <= 10 * CLUSTER_TOL
         assert validate_pvm(alg, rep.pvm).is_valid
 
     def test_gaps_above_threshold_stay_split(self):
