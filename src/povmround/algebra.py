@@ -1,16 +1,18 @@
 """Block matrix algebras, states, POVMs, and the numerical primitives on them.
 
 The ambient object everywhere in this package is a finite direct sum of full
-complex matrix algebras M_{d_1} + ... + M_{d_K}.  Elements are tuples of
-square complex blocks, states are tuples of PSD density blocks with unit
-total trace, and a POVM is a tuple of positive elements summing to the
-identity.  This module holds the data model plus the small set of numerical
-primitives the rounding/repair/majorant solvers are built from: validation,
-the state seminorm, the orthogonality defect, and the per-block eigenpairs
-that square roots and eigenvalue clusters are both read from.
-``BoundCheck`` is the one record every solver report uses for its certified
-bounds, and ``SubAlgebra`` the one sub-algebra type (repair's commutant,
-symmetry mode's generated algebra).
+complex matrix algebras M_{d_1} + ... + M_{d_K}.  An element holds its
+blocks as one (count, d, d) stack per distinct block size d, so every
+operation is one numpy or LAPACK call per size, not per block; a sum over
+blocks that reaches a report is still added left to right in block order.
+States are PSD density elements of unit trace, and a POVM is a tuple of
+positive elements summing to the identity.  This module holds the data
+model plus the small set of numerical primitives the rounding/repair/majorant
+solvers are built from: validation, the state seminorm, the orthogonality
+defect, and the stacked eigenpairs that square roots and eigenvalue clusters
+are both read from.  ``BoundCheck`` is the one record every solver report
+uses for its certified bounds, and ``SubAlgebra`` the one sub-algebra type
+(repair's commutant, symmetry mode's generated algebra).
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ class Tolerances:
     repair's unitaries).  No output gate reads either, so loosening them
     admits more inputs but never a weaker certificate.  gap_tol is the
     duality gap, relative to the family's scale, that minimal_majorant aims
-    for and its gap check accepts.  Solver internals are constants beside
-    their solver: orthogonalize.CLUSTER_TOL, SCORE_CLIP_TOL and
-    COMMUTANT_RANK_TOL, and majorant.MU_SHRINK, NEWTON_TOL, MAX_NEWTON_STEPS
-    and MAX_STAGES.
+    for and its gap check accepts; it is reachable down to about 3e-8.  At
+    1e-8 some families miss the gap check, and near 1e-9 the centering
+    stalls in double precision with a SolverError.  Solver internals are
+    module constants (orthogonalize.CLUSTER_TOL, majorant.NEWTON_TOL, ...).
     """
 
     psd_tol: float = 1e-9
@@ -114,7 +116,12 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class BlockAlgebra:
-    """A direct sum of full matrix algebras, given by its block dimensions."""
+    """A direct sum of full matrix algebras, given by its block dimensions.
+
+    ``sizes`` are the distinct block sizes in order of first appearance,
+    ``members[g]`` the blocks of size ``sizes[g]`` and ``shapes[g]`` the
+    shape of their stack; block k is slot ``slots[k] = (g, j)``.
+    """
 
     dims: tuple[int, ...]
 
@@ -130,7 +137,16 @@ class BlockAlgebra:
             raise ValidationError(message) from None
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValidationError(message)
-        object.__setattr__(self, "dims", dims)
+        sizes = tuple(dict.fromkeys(dims))
+        members = tuple(tuple(k for k, d in enumerate(dims) if d == s) for s in sizes)
+        flat = [k for ks in members for k in ks]
+        slots = sorted((k, (g, j)) for g, ks in enumerate(members) for j, k in enumerate(ks))
+        for name, value in (
+            ("dims", dims), ("sizes", sizes), ("members", members), ("slots", [s for _, s in slots]),
+            ("shapes", [(len(ks), d, d) for d, ks in zip(sizes, members)]),
+            ("_order", None if flat == sorted(flat) else np.argsort(flat)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_blocks(self) -> int:
@@ -140,101 +156,135 @@ class BlockAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    def in_block_order(self, per_size: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-size arrays, first axis over that size's blocks, joined in block order."""
+        flat = per_size[0] if len(per_size) == 1 else np.concatenate(per_size)
+        return flat if self._order is None else flat[self._order]
+
+    def block_sum(self, per_size: Sequence[np.ndarray]):
+        """Sum of per-block values, added left to right in block order."""
+        return sum(self.in_block_order(per_size).tolist())
+
     def element(self, blocks) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(d, dtype=complex) for d in self.dims])
+        eyes = [np.broadcast_to(np.eye(d), s) for d, s in zip(self.sizes, self.shapes)]
+        return AlgebraElement.from_stacks(self, eyes)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.zeros((d, d), dtype=complex) for d in self.dims])
+        return AlgebraElement.from_stacks(self, [np.zeros(s) for s in self.shapes])
 
     def diagonal(self, entries: Sequence[Sequence[float]]) -> "AlgebraElement":
         """Element with the given per-block diagonal entries."""
         return AlgebraElement(self, [np.diag(np.asarray(e, dtype=complex)) for e in entries])
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2 of a square matrix, or of each matrix of an (n, d, d) stack."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    """(a + a^H) / 2 of a square matrix, or of each matrix of a stack."""
+    return (a + dagger(a)) / 2
 
 
-def require_finite(blocks, what: str) -> None:
-    """Raise ValidationError unless every entry of every block is finite."""
-    if not all(np.isfinite(b).all() for b in blocks):
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a C-contiguous (..., d, d) stack,
+    bitwise: the same strided BLAS dots of the real and imaginary parts."""
+    flat = np.ascontiguousarray(a).reshape(*a.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def require_finite(x: "AlgebraElement", what: str) -> None:
+    """Raise ValidationError unless every entry of the element is finite."""
+    if not all(np.isfinite(s).all() for s in x.stacks):
         raise ValidationError(f"{what} has a non-finite entry")
 
 
-def _as_block(mat, dim: int) -> np.ndarray:
-    b = np.asarray(mat, dtype=complex)
-    if b.shape != (dim, dim):
-        raise ShapeMismatchError(f"block has shape {b.shape}, expected ({dim}, {dim})")
-    return np.ascontiguousarray(b)
-
-
 class AlgebraElement:
-    """An element of a block algebra: one complex square matrix per block."""
+    """An element of a block algebra, held in ``stacks``: per entry of
+    ``algebra.sizes``, one contiguous (count, d, d) complex array of the
+    blocks of that size.  ``blocks`` is the tuple of per-block views into
+    the stacks, in block order; no other copy is kept.
+    """
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "stacks", "_blocks")
 
     def __init__(self, algebra: BlockAlgebra, blocks):
-        blocks = list(blocks)
-        if len(blocks) != algebra.num_blocks:
-            raise ShapeMismatchError(
-                f"element has {len(blocks)} blocks, algebra has {algebra.num_blocks}"
-            )
-        self.algebra = algebra
-        self.blocks = tuple(_as_block(b, d) for b, d in zip(blocks, algebra.dims))
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        if [b.shape for b in blocks] != [(d, d) for d in algebra.dims]:
+            raise ShapeMismatchError(f"block shapes {[b.shape for b in blocks]} do not fit {algebra}")
+        self.algebra, self._blocks = algebra, None
+        self.stacks = tuple(np.stack([blocks[k] for k in ks]) for ks in algebra.members)
 
-    def _check_same(self, other: "AlgebraElement"):
-        if self.algebra.dims != other.algebra.dims:
-            raise ShapeMismatchError("elements belong to different algebras")
+    @classmethod
+    def from_stacks(cls, algebra: BlockAlgebra, stacks) -> "AlgebraElement":
+        """The element with the given per-size (count, d, d) stacks."""
+        stacks = [np.ascontiguousarray(s, dtype=complex) for s in stacks]
+        if [s.shape for s in stacks] != algebra.shapes:
+            raise ShapeMismatchError(f"stacks do not fit {algebra}: {[s.shape for s in stacks]}")
+        return cls._wrap(algebra, stacks)
+
+    @classmethod
+    def _wrap(cls, algebra: BlockAlgebra, stacks) -> "AlgebraElement":
+        x = cls.__new__(cls)  # stacks already contiguous complex of the algebra's shapes
+        x.algebra, x.stacks, x._blocks = algebra, tuple(stacks), None
+        return x
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = tuple(self.stacks[g][j] for g, j in self.algebra.slots)
+        return self._blocks
+
+    def _map(self, fn, *others: "AlgebraElement") -> "AlgebraElement":
+        for other in others:
+            if other.algebra is not self.algebra and self.algebra.dims != other.algebra.dims:
+                raise ShapeMismatchError("elements belong to different algebras")
+        stacks = zip(self.stacks, *(o.stacks for o in others))
+        return AlgebraElement._wrap(self.algebra, [fn(*s) for s in stacks])
 
     def __add__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._map(np.add, other)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._map(np.subtract, other)
 
     def __mul__(self, scalar):
-        return AlgebraElement(self.algebra, [scalar * a for a in self.blocks])
+        return self._map(lambda a: scalar * a)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
+        return self._map(np.matmul, other)
 
     @property
     def H(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        return self._map(lambda a: np.ascontiguousarray(dagger(a)))
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self @ other - other @ self
 
     def trace(self) -> complex:
-        return complex(sum(np.trace(a) for a in self.blocks))
+        return complex(self.algebra.block_sum([np.trace(a, axis1=-2, axis2=-1) for a in self.stacks]))
 
     def norm_fro(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
+        return float(np.sqrt(self.algebra.block_sum([frobenius_norms(a) ** 2 for a in self.stacks])))
 
     def skew_norm(self) -> float:
         """Frobenius norm of the anti-Hermitian part."""
-        return float(
-            np.sqrt(sum(np.linalg.norm((a - a.conj().T) / 2) ** 2 for a in self.blocks))
-        )
+        return (self - self.H).norm_fro() / 2
 
     def hermitized(self) -> tuple["AlgebraElement", float]:
         """Symmetrized copy together with the removed residual, never silent."""
-        residual = self.skew_norm()
-        h = AlgebraElement(self.algebra, [hermitian_part(a) for a in self.blocks])
-        return h, residual
+        return self._map(hermitian_part), self.skew_norm()
 
     def eigvals(self) -> list[np.ndarray]:
-        """Per-block eigenvalues of the Hermitian part, ascending."""
-        return [np.linalg.eigvalsh(hermitian_part(a)) for a in self.blocks]
+        """Per-size (count, d) stacks of the Hermitian part's eigenvalues, ascending."""
+        return [np.linalg.eigvalsh(hermitian_part(a)) for a in self.stacks]
 
     def spectral_radius(self) -> float:
         return max(float(np.abs(w).max()) for w in self.eigvals())
@@ -253,54 +303,48 @@ def element_sum(xs: Sequence[AlgebraElement]) -> AlgebraElement:
 
 
 def hermitian_eigh(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-block eigenpairs (w ascending, v) of the Hermitian part: the one
-    decomposition of an element that its square root and its spectral
-    clusters both read."""
-    return [np.linalg.eigh(hermitian_part(a)) for a in x.blocks]
+    """Stacked eigenpairs (w ascending, v) of the Hermitian part, one eigh per
+    block size: the one decomposition that square roots and clusters read."""
+    return [np.linalg.eigh(hermitian_part(a)) for a in x.stacks]
 
 
 def hermitian_sqrt(
     alg: BlockAlgebra, eigs: Sequence[tuple[np.ndarray, np.ndarray]],
     lo: float = 0.0, hi: float = np.inf,
 ) -> tuple[AlgebraElement, float]:
-    """PSD square root from per-block eigenpairs, eigenvalues clipped to [lo, hi].
+    """PSD square root from stacked eigenpairs, eigenvalues clipped to [lo, hi].
 
     Returns the root and the largest clip applied to any eigenvalue.
     """
-    roots = []
-    clip = 0.0
-    for w, v in eigs:
-        wc = np.clip(w, lo, hi)
-        clip = max(clip, float(np.abs(w - wc).max()))
-        roots.append((v * np.sqrt(wc)) @ v.conj().T)
-    return AlgebraElement(alg, roots), clip
-
-
-def projection_range(block: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a projection block."""
-    w, v = np.linalg.eigh(block)
-    return v[:, w > 0.5].copy()  # the indexed view is F-ordered; products expect C order
+    clipped = [np.clip(w, lo, hi) for w, _ in eigs]
+    roots = [(v * np.sqrt(wc)[..., None, :]) @ dagger(v) for (_, v), wc in zip(eigs, clipped)]
+    clip = max(float(np.abs(w - wc).max()) for (w, _), wc in zip(eigs, clipped))
+    return AlgebraElement.from_stacks(alg, roots), clip
 
 
 class State:
-    """Normal state phi(x) = sum_k Tr(rho_k x_k) given by density blocks.
+    """Normal state phi(x) = sum_k Tr(rho_k x_k) given by a density element rho.
 
-    Densities are symmetrized on construction; the removed anti-Hermitian
-    residual is kept in ``hermitization_residual``.
+    The densities (an element, or its blocks) are symmetrized on construction,
+    the removed anti-Hermitian residual kept in ``hermitization_residual``.  A
+    state is not changed after construction: ``valid_at`` holds the tolerances
+    it last passed ``validate_state`` at, which a solver does not check again.
     """
 
-    __slots__ = ("algebra", "densities", "hermitization_residual")
+    __slots__ = ("algebra", "rho", "hermitization_residual", "valid_at")
 
     def __init__(self, algebra: BlockAlgebra, densities):
-        densities = list(densities)
-        if len(densities) != algebra.num_blocks:
-            raise ShapeMismatchError(
-                f"state has {len(densities)} density blocks, algebra has {algebra.num_blocks}"
-            )
-        h, residual = AlgebraElement(algebra, densities).hermitized()
+        if not isinstance(densities, AlgebraElement):
+            densities = AlgebraElement(algebra, densities)
+        if densities.algebra.dims != algebra.dims:
+            raise ShapeMismatchError("state does not match the algebra")
         self.algebra = algebra
-        self.densities = h.blocks
-        self.hermitization_residual = residual
+        self.rho, self.hermitization_residual = densities.hermitized()
+        self.valid_at = None
+
+    @property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        return self.rho.blocks
 
     @classmethod
     def normalized_trace(cls, algebra: BlockAlgebra) -> "State":
@@ -310,13 +354,12 @@ class State:
     def expect(self, x: AlgebraElement) -> complex:
         if x.algebra.dims != self.algebra.dims:
             raise ShapeMismatchError("element and state belong to different algebras")
-        return complex(sum(np.trace(r @ a) for r, a in zip(self.densities, x.blocks)))
+        return complex(self.algebra.block_sum(
+            [np.trace(r @ a, axis1=-2, axis2=-1) for r, a in zip(self.rho.stacks, x.stacks)]
+        ))
 
     def total_trace(self) -> float:
-        return float(sum(np.trace(r).real for r in self.densities))
-
-    def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh(r).min()) for r in self.densities)
+        return float(self.rho.trace().real)
 
     def __repr__(self):
         return f"State(dims={self.algebra.dims}, trace={self.total_trace():.6f})"
@@ -333,14 +376,15 @@ class StateDiagnostics:
 def validate_state(alg: BlockAlgebra, phi: State, tol: Tolerances = DEFAULT_TOL) -> StateDiagnostics:
     if phi.algebra.dims != alg.dims:
         raise ShapeMismatchError("state does not match the algebra")
-    require_finite(phi.densities, "state")
-    min_eig = phi.min_eigenvalue()
+    require_finite(phi.rho, "state")
+    min_eig = min(float(np.linalg.eigvalsh(r).min()) for r in phi.rho.stacks)
     trace_residual = abs(phi.total_trace() - 1.0)
     ok = (
         min_eig >= -tol.psd_tol
         and trace_residual <= tol.cert_tol
         and phi.hermitization_residual <= tol.cert_tol
     )
+    phi.valid_at = tol if ok else None
     return StateDiagnostics(ok, min_eig, trace_residual, phi.hermitization_residual)
 
 
@@ -348,27 +392,22 @@ class Povm:
     """Tuple of positive elements summing to the identity.
 
     Elements are symmetrized on construction, with the residual recorded.
+    As for a state, ``valid_at`` holds the tolerances it last passed
+    ``validate_povm`` at.
     """
 
-    __slots__ = ("algebra", "elements", "hermitization_residual")
+    __slots__ = ("algebra", "elements", "hermitization_residual", "valid_at")
 
     def __init__(self, algebra: BlockAlgebra, elements):
-        elements = list(elements)
+        elements = [e if isinstance(e, AlgebraElement) else algebra.element(e) for e in elements]
         if not elements:
             raise ValidationError("a POVM needs at least one output")
-        residual = 0.0
-        fixed = []
-        for e in elements:
-            if not isinstance(e, AlgebraElement):
-                e = AlgebraElement(algebra, e)
-            if e.algebra.dims != algebra.dims:
-                raise ShapeMismatchError("POVM element does not match the algebra")
-            h, r = e.hermitized()
-            residual = max(residual, r)
-            fixed.append(h)
-        self.algebra = algebra
-        self.elements = tuple(fixed)
-        self.hermitization_residual = residual
+        if any(e.algebra.dims != algebra.dims for e in elements):
+            raise ShapeMismatchError("POVM element does not match the algebra")
+        fixed = [e.hermitized() for e in elements]
+        self.algebra, self.valid_at = algebra, None
+        self.elements = tuple(h for h, _ in fixed)
+        self.hermitization_residual = max(0.0, *(r for _, r in fixed))
 
     @property
     def n(self) -> int:
@@ -376,8 +415,8 @@ class Povm:
 
     def sum_residual(self) -> float:
         """Largest entry of |sum_i a_i - 1| over all blocks."""
-        total = element_sum(self.elements)
-        return max(float(np.abs(b - np.eye(d)).max()) for b, d in zip(total.blocks, self.algebra.dims))
+        excess = element_sum(self.elements) - self.algebra.identity()
+        return max(float(np.abs(s).max()) for s in excess.stacks)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, dims={self.algebra.dims})"
@@ -403,7 +442,7 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
     neg = 0.0
     excess = 0.0
     for i, e in enumerate(a.elements):
-        require_finite(e.blocks, f"POVM element {i}")
+        require_finite(e, f"POVM element {i}")
         for w in e.eigvals():
             neg = max(neg, float(max(0.0, -w.min())))
             excess = max(excess, float(max(0.0, w.max() - 1.0)))
@@ -415,6 +454,7 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
         and sum_residual <= tol.cert_tol
         and herm <= tol.cert_tol
     )
+    a.valid_at = tol if ok else None
     return PovmDiagnostics(ok, neg, excess, sum_residual, herm)
 
 
@@ -433,10 +473,10 @@ def validate_pvm(alg: BlockAlgebra, p: Povm, tol: Tolerances = DEFAULT_TOL) -> P
     )
 
 
-def require_valid(diag, what: str, error: type[PovmRoundError] = ValidationError):
-    """Raise ``error("<what>: <diag>")`` unless the diagnostics are valid."""
+def require_valid(diag, what: str):
+    """Raise ``ValidationError("<what>: <diag>")`` unless the diagnostics are valid."""
     if not diag.is_valid:
-        raise error(f"{what}: {diag}")
+        raise ValidationError(f"{what}: {diag}")
 
 
 def idempotency_residual(elements: Sequence[AlgebraElement]) -> float:
@@ -528,15 +568,11 @@ class SubAlgebra:
         return k, self.basis[k][:, self.offsets[s] : self.offsets[s] + d * m], d, m
 
     def _partial_traces(self, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per sub-block, w^H x_k w summed over the multiplicity index."""
+        """Per sub-block, w^H x_k w traced over the multiplicity index."""
         out = []
         for s in range(self.sub.num_blocks):
             k, w, d, m = self._columns(s)
-            conj = w.conj().T @ mats[k] @ w
-            acc = np.zeros((d, d), dtype=complex)
-            for u in range(m):
-                acc += conj[u::m, u::m]
-            out.append(acc)
+            out.append((w.conj().T @ mats[k] @ w).reshape(d, m, d, m).trace(axis1=1, axis2=3))
         return out
 
     def compress(self, x: AlgebraElement) -> AlgebraElement:

@@ -20,6 +20,9 @@ from .algebra import (
     Pvm,
     State,
     ValidationError,
+    dagger,
+    element_sum,
+    hermitian_eigh,
     hermitian_part,
 )
 from .io import Instance
@@ -119,32 +122,15 @@ def random_povm_near_pvm(
     """Random PVM perturbed by delta times random Hermitian noise, then
     renormalized so the output is always a valid POVM."""
     pvm = random_pvm(alg, n, rng)
-    perturbed = []
-    gamma = 0.0
-    for e in pvm.elements:
-        noisy = [
-            b + delta * random_hermitian(rng, d) for b, d in zip(e.blocks, alg.dims)
-        ]
-        perturbed.append(noisy)
-        for b in noisy:
-            gamma = max(gamma, float(-np.linalg.eigvalsh(hermitian_part(b)).min()))
-    shifted = [
-        [b + gamma * np.eye(d) for b, d in zip(blocks, alg.dims)]
-        for blocks in perturbed
+    perturbed = [
+        e + AlgebraElement(alg, [delta * random_hermitian(rng, d) for d in alg.dims])
+        for e in pvm.elements
     ]
-    total = [sum(blocks[k] for blocks in shifted) for k in range(alg.num_blocks)]
-    inv_roots = []
-    for t in total:
-        w, v = np.linalg.eigh(hermitian_part(t))
-        inv_roots.append((v / np.sqrt(w)) @ v.conj().T)
-    elements = [
-        AlgebraElement(
-            alg,
-            [inv_roots[k] @ blocks[k] @ inv_roots[k] for k in range(alg.num_blocks)],
-        )
-        for blocks in shifted
-    ]
-    return Povm(alg, elements)
+    gamma = max(0.0, *(float(-w.min()) for e in perturbed for w in e.eigvals()))
+    shifted = [e + gamma * alg.identity() for e in perturbed]
+    eigs = hermitian_eigh(element_sum(shifted))
+    inv_root = AlgebraElement.from_stacks(alg, [(v / np.sqrt(w)[:, None]) @ dagger(v) for w, v in eigs])
+    return Povm(alg, [inv_root @ e @ inv_root for e in shifted])
 
 
 def counterexample_triple(delta: float) -> tuple[BlockAlgebra, State, Povm]:
@@ -264,60 +250,37 @@ def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
         "generator": GENERATOR_NAME,
     }
     rng = _rng(seed)
+    dims = tuple(int(x) for x in params.get("dims", (2,) if kind == "rotated_pvm_pair" else (4,)))
+    _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+    for key in ("n", "n_p", "n_q", "state_rank"):
+        _require(params.get(key) is None or 1 <= int(params[key]) <= 16, f"{key} must lie in 1..16")
+    alg = BlockAlgebra(dims)
+    n = int(params.get("n", 3))
 
-    if kind == "random_povm_near_pvm":
-        dims = tuple(int(x) for x in params.get("dims", (4,)))
-        n = int(params.get("n", 3))
-        delta = float(params.get("delta", 0.05))
-        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
-        _require(1 <= n <= 16, "n must lie in 1..16")
-        _require(0.0 <= delta <= 0.5, "delta must lie in [0, 0.5]")
-        rank = params.get("state_rank")
-        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
-        alg = BlockAlgebra(dims)
-        povm = random_povm_near_pvm(alg, n, delta, rng)
-        phi = random_state(alg, rng, rank=rank, single_block=bool(params.get("single_block", False)))
+    if kind in ("random_povm_near_pvm", "random_state"):
+        povm = None
+        if kind == "random_povm_near_pvm":
+            delta = float(params.get("delta", 0.05))
+            _require(0.0 <= delta <= 0.5, "delta must lie in [0, 0.5]")
+            povm = random_povm_near_pvm(alg, n, delta, rng)
+        phi = random_state(alg, rng, rank=params.get("state_rank"),
+                           single_block=bool(params.get("single_block", False)))
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
-    if kind == "random_state":
-        dims = tuple(int(x) for x in params.get("dims", (4,)))
-        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
-        rank = params.get("state_rank")
-        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
-        alg = BlockAlgebra(dims)
-        phi = random_state(alg, rng, rank=rank,
-                           single_block=bool(params.get("single_block", False)))
-        return Instance(alg, state=phi, metadata=meta)
-
     if kind == "paper_counterexample":
-        delta = float(params.get("delta", 0.01))
-        alg, phi, povm = counterexample_triple(delta)
+        alg, phi, povm = counterexample_triple(float(params.get("delta", 0.01)))
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
     if kind == "linfty2_family":
-        c = float(params.get("c", 0.1))
-        alg, phi, povm = linfty2_family(c)
+        alg, phi, povm = linfty2_family(float(params.get("c", 0.1)))
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
     if kind == "rotated_pvm_pair":
-        theta = float(params.get("theta", 0.1))
-        canonical = bool(params.get("canonical", False))
-        dims = tuple(int(x) for x in params.get("dims", (2,)))
-        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
-        n_p = int(params.get("n_p", 2))
-        n_q = int(params.get("n_q", 2))
-        _require(1 <= n_p <= 16, "n_p must lie in 1..16")
-        _require(1 <= n_q <= 16, "n_q must lie in 1..16")
         alg, phi, p, q = rotated_pvm_pair(
-            theta, dims, n_p=n_p, n_q=n_q, rng=rng, canonical=canonical
+            float(params.get("theta", 0.1)), dims, n_p=int(params.get("n_p", 2)),
+            n_q=int(params.get("n_q", 2)), rng=rng, canonical=bool(params.get("canonical", False)),
         )
         return Instance(alg, state=phi, pvm_pair=(p, q), metadata=meta)
 
-    if kind == "random_functionals":
-        dims = tuple(int(x) for x in params.get("dims", (4,)))
-        n = int(params.get("n", 3))
-        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
-        _require(1 <= n <= 16, "n must lie in 1..16")
-        alg = BlockAlgebra(dims)
-        fam = random_functionals(alg, n, rng, diagonal=bool(params.get("diagonal", False)))
-        return Instance(alg, functionals=fam, metadata=meta)
+    fam = random_functionals(alg, n, rng, diagonal=bool(params.get("diagonal", False)))
+    return Instance(alg, functionals=fam, metadata=meta)

@@ -49,15 +49,9 @@ def _decode_entry(re, im) -> complex:
     return z
 
 
-def _decode_matrix(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([_decode_entry(re, im) for re, im in row])
-    return np.array(rows, dtype=complex)
-
-
 def encode_element(x: AlgebraElement) -> list:
-    return [_encode_matrix(b) for b in x.blocks]
+    per_size = [_encode_matrix(s) for s in x.stacks]
+    return [per_size[g][j] for g, j in x.algebra.slots]
 
 
 @contextmanager
@@ -71,8 +65,14 @@ def _decoding(what: str):
 
 
 def decode_element(alg: BlockAlgebra, data) -> AlgebraElement:
+    """Decode the blocks of one element straight into its per-size stacks."""
     with _decoding("element"):
-        return AlgebraElement(alg, [_decode_matrix(b) for b in data])
+        mats = [[[_decode_entry(re, im) for re, im in row] for row in b] for b in data]
+        if len(mats) != alg.num_blocks:
+            raise ShapeMismatchError(f"element has {len(mats)} blocks, algebra has {alg.num_blocks}")
+        return AlgebraElement.from_stacks(
+            alg, [np.array([mats[k] for k in ks], dtype=complex) for ks in alg.members]
+        )
 
 
 def decode_elements(alg: BlockAlgebra, data) -> list[AlgebraElement]:
@@ -99,7 +99,7 @@ class Instance:
             "metadata": self.metadata,
         }
         if self.state is not None:
-            doc["state"] = [_encode_matrix(r) for r in self.state.densities]
+            doc["state"] = encode_element(self.state.rho)
         if self.povm is not None:
             doc["povm"] = [encode_element(e) for e in self.povm.elements]
         if self.pvm_pair is not None:
@@ -122,7 +122,7 @@ class Instance:
             alg = BlockAlgebra(tuple(doc["dims"]))
             inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
             if "state" in doc:
-                inst.state = State(alg, [_decode_matrix(r) for r in doc["state"]])
+                inst.state = State(alg, decode_element(alg, doc["state"]))
             if "povm" in doc:
                 inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
             if "pvm_pair" in doc:

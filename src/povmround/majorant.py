@@ -6,17 +6,17 @@ Both optima coincide and every optimal pair satisfies the slackness
 relations t_i (z - a_i) = 0 and z = sum_i t_i a_i.
 
 The solver follows the log-det barrier central path: minimize
-Tr(z) - mu * sum_i log det(z - a_i) by damped Newton steps per central
-block, with the dual iterate t_i = mu * (z - a_i)^{-1}.  At a Newton
-stationary point sum_i t_i = 1 and z - sum_i t_i a_i = n * mu * 1 hold
-identically, so n * mu * dim certifies the duality gap, and mu is shrunk
-by MU_SHRINK per stage until that certificate meets gap_tol.  Each stage
-centres every block to gradient norm NEWTON_TOL.
+Tr(z) - mu * sum_i log det(z - a_i) by damped Newton steps, all blocks of
+one size at once, with the dual iterate t_i = mu * (z - a_i)^{-1}.  At a
+Newton stationary point sum_i t_i = 1 and z - sum_i t_i a_i = n * mu * 1
+hold identically, so n * mu * dim certifies the duality gap, and mu is
+shrunk by MU_SHRINK per stage until that certificate meets gap_tol.  Each
+stage centres every block to gradient norm NEWTON_TOL.
 
 The Newton system of a block of size d is mu * sum_i W_i S W_i = -G with
 W_i = (z - a_i)^{-1} and G the barrier gradient.  Up to DENSE_STEP_MAX_DIM
-it is solved exactly, as the dense d^2 x d^2 matrix mu * sum_i
-kron(W_i, W_i^T); that solve costs O(d^6).  Above it, preconditioned
+it is solved exactly, as the dense d^2 x d^2 matrix mu * sum_i kron(W_i,
+W_i^T), one batched O(d^6) solve per size.  Above it, preconditioned
 conjugate gradients give an inexact step (Eisenstat and Walker 1996) at
 2n products of d x d matrices per iteration, and no d^2 x d^2 array is
 formed.  Either way the certificate is recomputed from (z, t) alone, so an
@@ -41,6 +41,7 @@ from .algebra import (
     check_geq,
     check_leq,
     element_sum,
+    frobenius_norms,
     hermitian_part,
     require_finite,
 )
@@ -88,17 +89,16 @@ class FunctionalFamily:
         return the top eigenvalue."""
         top = -np.inf
         for i, e in enumerate(self.elements):
-            require_finite(e.blocks, f"functional {i}")
+            require_finite(e, f"functional {i}")
             if e.skew_norm() > tol.cert_tol * max(1.0, e.norm_fro()):
                 raise ValidationError(f"functional {i} is not Hermitian")
-            eigs = e.eigvals()
-            low = min(float(w.min()) for w in eigs)
-            radius = max(float(np.abs(w).max()) for w in eigs)
+            w = np.concatenate([x.ravel() for x in e.eigvals()])
+            low, radius = float(w.min()), float(np.abs(w).max())
             if low < -tol.psd_tol * max(1.0, radius):
                 raise ValidationError(
                     f"functional {i} is not positive (min eigenvalue {low:.3e})"
                 )
-            top = max(top, max(float(w.max()) for w in eigs))
+            top = max(top, float(w.max()))
         return top
 
 
@@ -198,24 +198,40 @@ def majorant_certificate(
 
 
 def _barrier(z, fam, mu):
-    """Tr(z) - mu * sum_i log det(z - a_i) for the (n, d, d) stack fam, by one
-    stacked Cholesky factorisation; raises LinAlgError when not interior."""
-    c = np.linalg.cholesky(hermitian_part(z - fam))
+    """Tr(z) - mu * sum_i log det(z - a_i) of one block z, fam its (n, d, d)
+    functionals, or per block of a (count, d, d) stack z, fam (count, n, d, d),
+    by one stacked Cholesky factorisation; inf where some z - a_i is not PD."""
+    x = hermitian_part(z[..., None, :, :] - fam)
+    try:
+        c = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        if z.ndim == 2 or len(z) == 1:
+            return np.full(z.shape[:-2], np.inf)
+        # A block where some z - a_i has an eigenvalue <= 0 is not interior; the others
+        # are factored again in one batch, or one at a time if the screen finds none.
+        inside = np.linalg.eigvalsh(x).min(axis=(1, 2)) > 0
+        out = np.full(len(z), np.inf)
+        for part in [[j] for j in range(len(z))] if inside.all() else [np.flatnonzero(inside)]:
+            if len(part):
+                out[part] = _barrier(z[part], fam[part], mu)
+        return out
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(c, axis1=-2, axis2=-1))), axis=-1)
-    # Python's left-to-right sum: numpy's pairwise sum would reorder n >= 8 terms.
-    return float(np.trace(z).real) - mu * float(sum(logdets))
+    # Summed left to right over i: numpy's pairwise sum would reorder n >= 8 terms.
+    return np.trace(z, axis1=-2, axis2=-1).real - mu * np.add.accumulate(logdets, axis=-1)[..., -1]
 
 
 def _assemble_hessian(inverses, mu, out, term):
-    """Write mu * sum_i kron(w_i, w_i^T) into out, with term as scratch; both
-    are (d^2, d^2).  Each term is np.kron's own product, summed in the same
-    order, so the result is bitwise that of the allocating expression."""
-    d = inverses[0].shape[0]
-    first, *rest = inverses
-    np.multiply(first[:, None, :, None], first.T[None, :, None, :], out=out.reshape(d, d, d, d))
-    for w in rest:
-        np.multiply(w[:, None, :, None], w.T[None, :, None, :], out=term.reshape(d, d, d, d))
-        out += term
+    """Write mu * sum_i kron(w_i, w_i^T) into out, with term as scratch, for
+    inverses of shape (..., n, d, d) and out, term of shape (..., d^2, d^2).
+    Each term is np.kron's own product, summed in the same order, so the
+    result is bitwise that of the allocating expression."""
+    inverses = np.asarray(inverses)
+    shape = out.shape[:-2] + inverses.shape[-1:] * 4
+    for i, w in enumerate(np.moveaxis(inverses, -3, 0)):
+        np.multiply(w[..., :, None, :, None], w.swapaxes(-1, -2)[..., None, :, None, :],
+                    out=(term if i else out).reshape(shape))
+        if i:
+            out += term
     out *= mu
     return out
 
@@ -258,57 +274,86 @@ NEWTON_TOL = 1e-7
 MAX_NEWTON_STEPS = 200
 
 
-def _newton_center(z_blocks, fam_blocks, mu):
-    """Damped Newton minimization of the barrier at fixed mu, per block; each
-    fam_blocks[k] is the (n, d, d) stack of the functionals' k-th blocks."""
-    iters = 0
-    for k, z in enumerate(z_blocks):
-        fam = fam_blocks[k]
-        d = z.shape[0]
-        eye = np.eye(d)
-        dense = d <= DENSE_STEP_MAX_DIM
-        # Hessian and scratch buffers, reused by every dense Newton step of the block.
-        if dense:
-            hess = np.empty((d * d, d * d), dtype=complex)
-            term = np.empty_like(hess)
-        current = _barrier(z, fam, mu)
-        for _ in range(MAX_NEWTON_STEPS):
-            inverses = np.linalg.inv(hermitian_part(z - fam))
-            grad = eye - mu * np.sum(inverses, axis=0)
-            if np.linalg.norm(grad) <= NEWTON_TOL:
-                break
-            if dense:
-                _assemble_hessian(inverses, mu, hess, term)
-                step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
-            else:
-                step = _cg_step(inverses, grad, mu)
-            step = hermitian_part(step)
+def _stalled(what: str, k: int, mu: float, gnorm: float) -> SolverError:
+    return SolverError(f"{what} in block {k} at mu={mu:.3e}, gradient norm {gnorm:.3e}")
 
-            t = 1.0
-            for _ in range(60):
-                cand = z + t * step
-                try:
-                    value = _barrier(cand, fam, mu)
-                except np.linalg.LinAlgError:
-                    t *= 0.5
-                    continue
-                if value <= current + 1e-12 * max(1.0, abs(current)):
-                    z, current = cand, value
-                    break
-                t *= 0.5
-            else:
-                raise SolverError(
-                    f"line search stalled in block {k} at mu={mu:.3e}, "
-                    f"gradient norm {np.linalg.norm(grad):.3e}"
-                )
-            iters += 1
+
+def _center_block(z, fam, mu, k):
+    """_newton_center for block k alone, by CG steps: z is its (d, d) view in
+    the stack, updated in place, fam its (n, d, d) functionals."""
+    eye = np.eye(len(z))
+    current = _barrier(z, fam, mu)
+    for steps in range(MAX_NEWTON_STEPS):
+        inverses = np.linalg.inv(hermitian_part(z - fam))
+        grad = eye - mu * np.sum(inverses, axis=0)
+        if np.linalg.norm(grad) <= NEWTON_TOL:
+            return steps
+        step = hermitian_part(_cg_step(inverses, grad, mu))
+        t = 1.0
+        for _ in range(60):
+            cand = z + t * step
+            value = _barrier(cand, fam, mu)
+            if value <= current + 1e-12 * max(1.0, abs(current)):
+                z[...], current = cand, value
+                break
+            t *= 0.5
         else:
-            raise SolverError(
-                f"Newton did not reach tolerance in block {k} at mu={mu:.3e}, "
-                f"gradient norm {np.linalg.norm(grad):.3e}"
+            raise _stalled("line search stalled", k, mu, np.linalg.norm(grad))
+    raise _stalled("Newton did not reach tolerance", k, mu, np.linalg.norm(grad))
+
+
+def _newton_center(z, fam, mu, blocks):
+    """Damped Newton minimization of the barrier at fixed mu for the blocks
+    ``blocks`` of one size: z their (count, d, d) stack, updated in place, fam
+    their (count, n, d, d) functionals.  Up to DENSE_STEP_MAX_DIM they step
+    together, each with its own step length and stop; larger ones take CG
+    steps one at a time (_center_block).  Returns the per-block step count."""
+    d = z.shape[-1]
+    if d > DENSE_STEP_MAX_DIM:
+        return sum(_center_block(zk, fk, mu, k) for zk, fk, k in zip(z, fam, blocks))
+    eye = np.eye(d)
+    # Hessian and scratch buffers, reused by every Newton step.
+    hess = np.empty((len(z), d * d, d * d), dtype=complex)
+    term = np.empty_like(hess)
+    slots = np.arange(len(z))  # the blocks still centering, and their stacks
+    zs, fs = z, fam
+    current = _barrier(zs, fs, mu)
+    iters = 0
+    for _ in range(MAX_NEWTON_STEPS):
+        inverses = np.linalg.inv(hermitian_part(zs[:, None] - fs))
+        grad = eye - mu * np.sum(inverses, axis=1)
+        gnorm = frobenius_norms(grad)
+        if min(gnorm.tolist()) <= NEWTON_TOL:
+            going = gnorm > NEWTON_TOL
+            z[slots] = zs
+            slots, zs, fs, current, inverses, grad, gnorm = (
+                x[going] for x in (slots, zs, fs, current, inverses, grad, gnorm)
             )
-        z_blocks[k] = z
-    return z_blocks, iters
+            if not len(slots):
+                return iters
+        m = len(slots)
+        _assemble_hessian(inverses, mu, hess[:m], term[:m])
+        step = hermitian_part(np.linalg.solve(hess[:m], -grad.reshape(m, -1, 1)).reshape(m, d, d))
+
+        # Backtracking per block: the first of t = 1, 1/2, ... that does not raise the barrier.
+        todo, t = np.arange(m), 1.0
+        for _ in range(60):
+            sub = slice(None) if len(todo) == m else todo
+            cand = zs[sub] + t * step[sub]
+            value = _barrier(cand, fs[sub], mu)
+            cur = current[sub].tolist()
+            ok = [v <= c + 1e-12 * max(1.0, abs(c)) for v, c in zip(value.tolist(), cur)]
+            if all(ok):
+                zs[sub], current[sub] = cand, value
+                break
+            if any(ok):
+                zs[todo[ok]], current[todo[ok]] = cand[ok], value[ok]
+                todo = todo[np.logical_not(ok)]
+            t *= 0.5
+        else:
+            raise _stalled("line search stalled", blocks[slots[todo[0]]], mu, gnorm[todo[0]])
+        iters += m
+    raise _stalled("Newton did not reach tolerance", blocks[slots[0]], mu, gnorm[0])
 
 
 # mu shrinks by MU_SHRINK per stage, for at most MAX_STAGES stages.
@@ -328,8 +373,8 @@ def minimal_majorant(
     scale = f.scale()
     gap_target = tol.gap_tol * scale
 
-    fam_blocks = [np.stack([e.blocks[k] for e in f.elements]) for k in range(alg.num_blocks)]
-    z_blocks = [(top + 1.0) * np.eye(d, dtype=complex) for d in alg.dims]
+    fam = [np.stack(s, axis=1) for s in zip(*(e.stacks for e in f.elements))]
+    z = [(top + 1.0) * s for s in alg.identity().stacks]
 
     # Land just inside the certified-gap target: shrinking mu further only
     # makes the nearly-active blocks of z - a_i more singular for no benefit.
@@ -337,20 +382,17 @@ def minimal_majorant(
     mu = max(top + 1.0, mu_target)
     total_iters = 0
     for _ in range(MAX_STAGES):
-        z_blocks, it = _newton_center(z_blocks, fam_blocks, mu)
-        total_iters += it
+        for zg, fg, ks in zip(z, fam, alg.members):
+            total_iters += _newton_center(zg, fg, mu, ks)
         if mu <= mu_target:
             break
         mu = max(mu * MU_SHRINK, mu_target)
     else:
         raise SolverError(f"barrier loop ran {MAX_STAGES} stages without reaching gap_tol")
 
-    z = AlgebraElement(alg, z_blocks)
-    stacks = [
-        hermitian_part(mu * np.linalg.inv(hermitian_part(zk - fam)))
-        for zk, fam in zip(z_blocks, fam_blocks)
-    ]
-    raw_duals = [AlgebraElement(alg, [t[i] for t in stacks]) for i in range(n)]
+    ts = [hermitian_part(mu * np.linalg.inv(hermitian_part(x[:, None] - f))) for x, f in zip(z, fam)]
+    z = AlgebraElement.from_stacks(alg, z)
+    raw_duals = [AlgebraElement.from_stacks(alg, [t[:, i] for t in ts]) for i in range(n)]
 
     # Restore exact dual feasibility: spread the stationarity residual evenly.
     residual = alg.identity() - element_sum(raw_duals)

@@ -49,7 +49,9 @@ from .algebra import (
     DEFAULT_TOL,
     check_geq,
     check_leq,
+    dagger,
     defect,
+    frobenius_norms,
     hermitian_eigh,
     hermitian_part,
     hermitian_sqrt,
@@ -94,8 +96,9 @@ SYMMETRY_TOL = 1e-8          # [commutant basis, p_i] residual
 class SelectionResult:
     """Commuting projections q_i with blockwise ranks summing to d_k."""
 
-    projections: list[AlgebraElement]  # q_i, with blocks bases[k][i] bases[k][i]^H
-    bases: list[list[np.ndarray]]  # bases[k][i]: d_k x r_ki orthonormal columns spanning q_i
+    projections: list[AlgebraElement]  # q_i = u diag(owners == i) u^H per block
+    vectors: AlgebraElement      # per block, d_k orthonormal picked columns u, grouped by output
+    owners: list[np.ndarray]     # per block size, (count, d): the output of each column of u
     eigenpairs: list[list[tuple[np.ndarray, np.ndarray]]]  # eigenpairs[i]: hermitian_eigh(a_i)
     value: float                 # phi(sum_i q_i a_i), evaluated exactly
     lp_value: float              # optimum of the selection linear program
@@ -173,6 +176,14 @@ CLUSTER_TOL = 1e-8
 SCORE_CLIP_TOL = 1e-9
 
 
+def _require_inputs(alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances) -> None:
+    """Validate the inputs, skipping any already validated at tol (``valid_at``)."""
+    if phi.valid_at != tol:
+        require_valid(validate_state(alg, phi, tol), "input is not a valid state")
+    if a.valid_at != tol:
+        require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
+
+
 def select_projections(
     alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances = DEFAULT_TOL
 ) -> SelectionResult:
@@ -185,73 +196,81 @@ def select_projections(
     the tuple (a_1, ..., a_n) itself is feasible, the optimum is at least
     phi(sum_i a_i^2) = 1 - defect.
     """
-    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
-    require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
+    _require_inputs(alg, phi, a, tol)
 
-    # Pool of candidate rank-one items per block.  An item is one eigenvector
-    # of the compressed score matrix lambda * B^H rho B of one spectral
-    # cluster (lambda, B) of one output; a cluster of multiplicity 1 is one
-    # item, its 1 x 1 score matrix needs no eigh.
+    # Pool of candidate rank-one items per block: the eigenvectors of the
+    # score matrix lambda * B^H rho B of each spectral cluster (lambda, B) of
+    # each output.  Simple clusters score lambda_j v_j^H rho v_j, formed for
+    # all blocks of a size at once; a block with a multiple eigenvalue takes
+    # its clusters from spectral_clusters, with one eigh per multiple one.
     eigenpairs = [hermitian_eigh(e) for e in a.elements]
-    clusters_per_output = [spectral_clusters(eigs, CLUSTER_TOL) for eigs in eigenpairs]
-
-    bases = []
+    us, owners = [], []
     lp_value = 0.0
-
-    for k, d in enumerate(alg.dims):
-        rho = phi.densities[k]
-        items = []  # (score, output, -eigenvalue, vec_index, vector)
-        for i in range(a.n):
-            for lam, basis in clusters_per_output[i][k]:
-                scores = lam * (basis.conj().T @ rho @ basis)
-                if basis.shape[1] == 1:
-                    pairs = [(scores[0, 0].real, basis[:, 0])]
+    for g, (d, ks) in enumerate(zip(alg.sizes, alg.members)):
+        rho = phi.rho.stacks[g]
+        per_output = []
+        for w, v in (eigs[g] for eigs in eigenpairs):
+            w, v = w[:, ::-1], v[..., ::-1]  # descending
+            scores = w * np.sum((dagger(v) @ rho) * v.swapaxes(-1, -2), axis=-1).real
+            simple = np.all(w[:, :-1] - w[:, 1:] > CLUSTER_TOL, axis=-1)
+            per_output.append((w, v, w.tolist(), scores.tolist(), simple.tolist()))
+        u = np.empty((len(ks), d, d), dtype=complex)
+        owner = np.empty((len(ks), d), dtype=int)
+        for c, k in enumerate(ks):
+            items = []  # (score, output, -eigenvalue, vec_index, vector)
+            for i, (w, v, lams, scores, simple) in enumerate(per_output):
+                if simple[c]:
+                    clusters = [(lam, [(s, x)]) for lam, s, x in zip(lams[c], scores[c], v[c].T)]
                 else:
-                    w, v = np.linalg.eigh(hermitian_part(scores))
-                    pairs = [(w[j], basis @ v[:, j]) for j in reversed(range(len(w)))]
-                for j, (s, vec) in enumerate(pairs):
-                    s = float(s)
-                    if s < -SCORE_CLIP_TOL:
-                        warnings.warn(
-                            f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
-                            f"(block {k}, output {i})",
-                            RuntimeWarning,
-                        )
-                        s = 0.0
-                    items.append((s, i, -lam, j, vec))
-        items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
-        picked = [[] for _ in range(a.n)]
-        for s, i, _, _, vec in items[:d]:
-            picked[i].append(vec)
-            lp_value += s
-        bases.append([
-            np.stack(vecs, axis=1) if vecs else np.zeros((d, 0), dtype=complex)
-            for vecs in picked
-        ])
+                    clusters = []
+                    for lam, basis in spectral_clusters([(w[c, ::-1], v[c, :, ::-1])], CLUSTER_TOL)[0]:
+                        m = lam * (basis.conj().T @ rho[c] @ basis)
+                        if basis.shape[1] == 1:  # a 1 x 1 score matrix needs no eigh
+                            clusters.append((lam, [(m[0, 0].real, basis[:, 0])]))
+                            continue
+                        sw, sv = np.linalg.eigh(hermitian_part(m))
+                        clusters.append((lam, [(s, basis @ x) for s, x in zip(sw[::-1], sv.T[::-1])]))
+                for lam, pairs in clusters:
+                    for j, (s, vec) in enumerate(pairs):
+                        s = float(s)
+                        if s < -SCORE_CLIP_TOL:
+                            warnings.warn(
+                                f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
+                                f"(block {k}, output {i})",
+                                RuntimeWarning,
+                            )
+                            s = 0.0
+                        items.append((s, i, -lam, j, vec))
+            items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
+            lp_value = sum((it[0] for it in items[:d]), lp_value)  # left to right, in pick order
+            picked = sorted(items[:d], key=lambda it: it[1])  # stable: pick order within an output
+            u[c] = np.array([it[4] for it in picked]).T
+            owner[c] = [it[1] for it in picked]
+        us.append(u)
+        owners.append(owner)
 
-    projections = [
-        AlgebraElement(alg, [row[i] @ row[i].conj().T for row in bases]) for i in range(a.n)
-    ]
-    ranks = [[v.shape[1] for v in row] for row in bases]
-    value = sum(
-        phi.expect(q @ e).real for q, e in zip(projections, a.elements)
-    )
+    qs = [[(u * (o == i)[:, None]) @ dagger(u) for i in range(a.n)] for u, o in zip(us, owners)]
+    projections = [AlgebraElement.from_stacks(alg, q) for q in zip(*qs)]  # q_i = u diag(o == i) u^H
+    ranks = alg.in_block_order([(o[..., None] == np.arange(a.n)).sum(axis=1) for o in owners]).tolist()
+    value = sum(phi.expect(q @ e).real for q, e in zip(projections, a.elements))
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
-    return SelectionResult(projections, bases, eigenpairs, value, lp_value, ranks, comm)
+    vectors = AlgebraElement.from_stacks(alg, us)
+    return SelectionResult(projections, vectors, owners, eigenpairs, value, lp_value, ranks, comm)
 
 
 def complete_polar(maps: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Unitary polar factor of each square map.
+    """Unitary polar factor of each square map, or of each map of a stack.
 
-    ``maps[k]`` is a d_k x d_k matrix y; the returned w = U V^H from its SVD
-    y = U S V^H is unitary and satisfies y = w |y| exactly, with no rank
-    cutoff: w stays unitary when y is singular (Higham 1986).
+    ``maps[g]`` is a d x d matrix y, or a (count, d, d) stack of them (one
+    batched SVD); the returned w = U V^H from the SVD y = U S V^H is unitary
+    and satisfies y = w |y| exactly, with no rank cutoff: w stays unitary
+    when y is singular (Higham 1986).
     """
     factors = []
-    for k, y in enumerate(maps):
+    for g, y in enumerate(maps):
         y = np.asarray(y, dtype=complex)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise PreconditionError(f"block {k}: map has shape {y.shape}, expected a square matrix")
+        if y.ndim < 2 or y.shape[-2] != y.shape[-1]:
+            raise PreconditionError(f"entry {g}: map has shape {y.shape}, expected square matrices")
         w, _, vh = np.linalg.svd(y)
         factors.append(w @ vh)
     return factors
@@ -268,43 +287,40 @@ def orthogonalize(
     output is p_i = w_i^H w_i.  The error satisfies
     sum_i phi(|a_i - p_i|^2) <= 9 * defect up to certificate tolerance.
     """
+    _require_inputs(alg, phi, a, tol)
     eps0 = defect(phi, a)
     sel = select_projections(alg, phi, a, tol)
 
-    roots = []
-    clip = 0.0
-    for eigs in sel.eigenpairs:
-        root, c = hermitian_sqrt(alg, eigs, 0.0, 1.0)
-        roots.append(root)
-        clip = max(clip, c)
+    roots, clips = zip(*(hermitian_sqrt(alg, eigs, 0.0, 1.0) for eigs in sel.eigenpairs))
+    clip = max(clips)
 
-    maps = [
-        np.vstack([v.conj().T @ roots[i].blocks[k] for i, v in enumerate(sel.bases[k])])
-        for k in range(alg.num_blocks)
-    ]
+    # Row r of the square map of a block is u_r^H a_i^(1/2), for the
+    # selected column u_r and its output i.
+    maps = []
+    for g, (u, owner) in enumerate(zip(sel.vectors.stacks, sel.owners)):
+        rows = np.stack([dagger(u) @ r.stacks[g] for r in roots])
+        maps.append(np.take_along_axis(rows, owner[None, :, :, None], axis=0)[0])
     w = complete_polar(maps)
-
-    p_blocks = [  # p_blocks[k][i] = w_i^H w_i
-        [hermitian_part(wi.conj().T @ wi) for wi in np.split(wk, np.cumsum(ranks)[:-1])]
-        for wk, ranks in zip(w, sel.ranks)
-    ]
-    pvm = Pvm(alg, [AlgebraElement(alg, [row[i] for row in p_blocks]) for i in range(a.n)])
+    pvm = Pvm(alg, [  # p_i = w_i^H w_i, the rows of w of output i
+        AlgebraElement.from_stacks(
+            alg, [hermitian_part(dagger(x * (o == i)[..., None]) @ x) for x, o in zip(w, sel.owners)]
+        )
+        for i in range(a.n)
+    ])
 
     error = phi_distance_sq(phi, a.elements, pvm.elements)
 
     # Certificates of the construction identities and of the three bound terms.
-    gram = AlgebraElement(alg, [y.conj().T @ y for y in maps])
+    gram = AlgebraElement.from_stacks(alg, [dagger(y) @ y for y in maps])
     modulus, _ = hermitian_sqrt(alg, hermitian_eigh(gram))
     polar_residual = max(
-        float(np.linalg.norm(y - wk @ mod)) for y, wk, mod in zip(maps, w, modulus.blocks)
+        float(frobenius_norms(y - wk @ mod).max()) for y, wk, mod in zip(maps, w, modulus.stacks)
     )
-
-    midpoint = 0.0
-    for i in range(a.n):
-        for k in range(alg.num_blocks):
-            lhs = modulus.blocks[k] @ pvm.elements[i].blocks[k] @ modulus.blocks[k]
-            rhs = sel.projections[i].blocks[k] @ a.elements[i].blocks[k]
-            midpoint = max(midpoint, float(np.linalg.norm(lhs - rhs)))
+    midpoint = max(
+        float(frobenius_norms(s).max())
+        for p, q, e in zip(pvm.elements, sel.projections, a.elements)
+        for s in (modulus @ p @ modulus - q @ e).stacks
+    )
 
     ident = alg.identity()
     one_minus_mod = ident - modulus
@@ -481,8 +497,7 @@ def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
             g = g / gn
         w, v = np.linalg.eigh(g)
         order = np.argsort(-w)
-        w = w[order]
-        v = v[:, order]
+        w, v = w[order], v[:, order]
 
         spaces = [basis for _, basis in split_at_gaps(w, v, _PIECE_SPLIT_GAP)]
 
@@ -541,11 +556,7 @@ def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
         commutant=commutant_elements,
         residual=0.0,
     )
-    residual = 0.0
-    for h in herm:
-        diff = result.embed(result.compress(h)) - h
-        residual = max(residual, diff.norm_fro())
-    result.residual = residual
+    result.residual = max((result.embed(result.compress(h)) - h).norm_fro() for h in herm)
     return result
 
 
@@ -574,11 +585,11 @@ def orthogonalize_symmetry_preserving(
 ) -> SymmetricOrthReport:
     """Round inside the algebra generated by the POVM, so that the output
     commutes with everything commuting with all inputs."""
-    require_valid(validate_state(alg, phi, tol), "input is not a valid state")
-    require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
-
+    _require_inputs(alg, phi, a, tol)
     decomp = decompose_generated_algebra(list(a.elements))
-    inner = orthogonalize(decomp.sub, *decomp.restrict(phi, a.elements), tol)
+    inner_phi, inner_a = decomp.restrict(phi, a.elements)
+    inner_phi.valid_at = inner_a.valid_at = tol  # compressions of validated inputs
+    inner = orthogonalize(decomp.sub, inner_phi, inner_a, tol)
     pvm = decomp.embed_pvm(inner.pvm)
 
     eps0 = defect(phi, a)

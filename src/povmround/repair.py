@@ -40,7 +40,6 @@ from .algebra import (
     max_commutator,
     phi_distance_sq,
     phi_norm_sq,
-    projection_range,
     require_valid,
     validate_pvm,
     validate_state,
@@ -61,16 +60,19 @@ def _ten_defect_check(name: str, error: float, eps_c: float) -> BoundCheck:
 def commutant_of_pvm(q: Pvm) -> SubAlgebra:
     """Block algebra of all elements commuting with every q_j, for a valid PVM q.
 
-    Per ambient block, the ranges of the q_j are stacked into one unitary
-    basis; each nonzero range is one sub-block of multiplicity 1.
+    Per ambient block, the ranges of the q_j (eigenvalues above 1/2, one
+    batched eigh per q_j and block size) are stacked into one unitary basis;
+    each nonzero range is one sub-block of multiplicity 1.
     """
     alg = q.algebra
+    eigs = [[np.linalg.eigh(s) for s in e.stacks] for e in q.elements]
     dims = []
     ambient_block = []
     offsets = []
     bases = []
-    for k, d in enumerate(alg.dims):
-        ranges = [projection_range(e.blocks[k]) for e in q.elements]
+    for k, (d, (g, c)) in enumerate(zip(alg.dims, alg.slots)):
+        # The indexed view is F-ordered; products expect C order.
+        ranges = [v[c][:, w[c] > 0.5].copy() for w, v in (e[g] for e in eigs)]
         offset = 0
         for basis in ranges:
             r = basis.shape[1]
@@ -119,6 +121,7 @@ def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> 
 
     # Compressing p_i is compressing its pinching: V_j^H p_i V_j = V_j^H a_i V_j.
     phi_restricted, compressed = comm.restrict(phi, p.elements)
+    phi_restricted.valid_at = compressed.valid_at = tol  # compressions of validated inputs
     pinch_cost = phi_distance_sq(phi, p.elements, [comm.embed(c) for c in compressed.elements])
     compressed_defect = defect(phi_restricted, compressed)
     identity_residual = abs(eps_c - pinch_cost - compressed_defect)

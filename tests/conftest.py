@@ -14,13 +14,166 @@ from povmround import (
     SolverError,
     State,
 )
-from povmround.algebra import hermitian_part, projection_range
-from povmround.majorant import majorant_certificate
+from povmround.algebra import hermitian_part
+from povmround.majorant import (
+    DENSE_STEP_MAX_DIM,
+    MAX_NEWTON_STEPS,
+    NEWTON_TOL,
+    _assemble_hessian,
+    _cg_step,
+    majorant_certificate,
+)
 from povmround.orthogonalize import CLUSTER_TOL, COMMUTANT_RANK_TOL, SCORE_CLIP_TOL
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def projection_range(block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a projection block."""
+    w, v = np.linalg.eigh(block)
+    return v[:, w > 0.5].copy()  # the indexed view is F-ordered; products expect C order
+
+
+def selection_bases(sel) -> list[list[np.ndarray]]:
+    """bases[k][i]: the d_k x r_ki picked columns of a selection that span q_i."""
+    owners = [sel.owners[g][j] for g, j in sel.vectors.algebra.slots]
+    n = len(sel.projections)
+    return [[u[:, o == i] for i in range(n)] for u, o in zip(sel.vectors.blocks, owners)]
+
+
+# The per-block loops that the stacked primitives in algebra.py,
+# orthogonalize.py and majorant.py replaced; used as differential oracles,
+# which the stacked code must match bit for bit.
+
+
+class TupleElementOracle:
+    """An algebra element as a tuple of blocks, every operation a loop over
+    them: the data model that the per-size stacks of AlgebraElement replaced."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(np.ascontiguousarray(b, dtype=complex) for b in blocks)
+
+    def __add__(self, other):
+        return TupleElementOracle([a + b for a, b in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        return TupleElementOracle([a - b for a, b in zip(self.blocks, other.blocks)])
+
+    def __mul__(self, scalar):
+        return TupleElementOracle([scalar * a for a in self.blocks])
+
+    def __matmul__(self, other):
+        return TupleElementOracle([a @ b for a, b in zip(self.blocks, other.blocks)])
+
+    @property
+    def H(self):
+        return TupleElementOracle([a.conj().T for a in self.blocks])
+
+    def commutator(self, other):
+        return self @ other - other @ self
+
+    def trace(self) -> complex:
+        return complex(sum(np.trace(a) for a in self.blocks))
+
+    def norm_fro(self) -> float:
+        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
+
+    def skew_norm(self) -> float:
+        return float(
+            np.sqrt(sum(np.linalg.norm((a - a.conj().T) / 2) ** 2 for a in self.blocks))
+        )
+
+    def hermitized(self):
+        return TupleElementOracle([hermitian_part(a) for a in self.blocks]), self.skew_norm()
+
+    def eigvals(self) -> list[np.ndarray]:
+        return [np.linalg.eigvalsh(hermitian_part(a)) for a in self.blocks]
+
+
+def per_block_expect_oracle(densities, x) -> complex:
+    """phi(x) = sum_k Tr(rho_k x_k), one product and trace per block."""
+    return complex(sum(np.trace(r @ a) for r, a in zip(densities, x.blocks)))
+
+
+def per_block_eigh_oracle(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-block eigenpairs (w ascending, v) of the Hermitian part."""
+    return [np.linalg.eigh(hermitian_part(a)) for a in x.blocks]
+
+
+def per_block_sqrt_oracle(alg, eigs, lo=0.0, hi=np.inf) -> tuple[AlgebraElement, float]:
+    """PSD square root from per-block eigenpairs, eigenvalues clipped to [lo, hi]."""
+    roots = []
+    clip = 0.0
+    for w, v in eigs:
+        wc = np.clip(w, lo, hi)
+        clip = max(clip, float(np.abs(w - wc).max()))
+        roots.append((v * np.sqrt(wc)) @ v.conj().T)
+    return AlgebraElement(alg, roots), clip
+
+
+def per_block_polar_oracle(maps: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Unitary polar factor w = U V^H of each square map, one SVD per map."""
+    factors = []
+    for y in maps:
+        w, _, vh = np.linalg.svd(np.asarray(y, dtype=complex))
+        factors.append(w @ vh)
+    return factors
+
+
+def per_block_barrier_oracle(z, fam, mu):
+    """Tr(z) - mu * sum_i log det(z - a_i) of one block, fam its (n, d, d) stack."""
+    c = np.linalg.cholesky(hermitian_part(z - fam))
+    logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(c, axis1=-2, axis2=-1))), axis=-1)
+    return float(np.trace(z).real) - mu * float(sum(logdets))
+
+
+def per_block_newton_oracle(z_blocks, fam_blocks, mu):
+    """Damped Newton minimization of the barrier at fixed mu, one block at a
+    time; each fam_blocks[k] is the (n, d, d) stack of the functionals' k-th
+    blocks.  Returns (z_blocks, per-block steps)."""
+    iters = 0
+    for k, z in enumerate(z_blocks):
+        fam = fam_blocks[k]
+        d = z.shape[0]
+        eye = np.eye(d)
+        dense = d <= DENSE_STEP_MAX_DIM
+        if dense:
+            hess = np.empty((d * d, d * d), dtype=complex)
+            term = np.empty_like(hess)
+        current = per_block_barrier_oracle(z, fam, mu)
+        for _ in range(MAX_NEWTON_STEPS):
+            inverses = np.linalg.inv(hermitian_part(z - fam))
+            grad = eye - mu * np.sum(inverses, axis=0)
+            if np.linalg.norm(grad) <= NEWTON_TOL:
+                break
+            if dense:
+                _assemble_hessian(inverses, mu, hess, term)
+                step = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
+            else:
+                step = _cg_step(inverses, grad, mu)
+            step = hermitian_part(step)
+
+            t = 1.0
+            for _ in range(60):
+                cand = z + t * step
+                try:
+                    value = per_block_barrier_oracle(cand, fam, mu)
+                except np.linalg.LinAlgError:
+                    t *= 0.5
+                    continue
+                if value <= current + 1e-12 * max(1.0, abs(current)):
+                    z, current = cand, value
+                    break
+                t *= 0.5
+            else:
+                raise SolverError(f"line search stalled in block {k} at mu={mu:.3e}")
+            iters += 1
+        else:
+            raise SolverError(f"Newton did not reach tolerance in block {k} at mu={mu:.3e}")
+        z_blocks[k] = z
+    return z_blocks, iters
 
 
 def random_element(alg, rng, herm=False):

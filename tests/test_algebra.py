@@ -29,8 +29,18 @@ from povmround import (
 )
 from povmround.algebra import hermitian_eigh, hermitian_sqrt
 from povmround.generators import counterexample_triple, linfty2_family
+from povmround.orthogonalize import complete_polar
 
-from conftest import random_density, random_element, rng_for
+from conftest import (
+    TupleElementOracle,
+    per_block_eigh_oracle,
+    per_block_expect_oracle,
+    per_block_polar_oracle,
+    per_block_sqrt_oracle,
+    random_density,
+    random_element,
+    rng_for,
+)
 
 
 def reconstruct(sc, alg):
@@ -192,7 +202,7 @@ class TestDefect:
 class TestSpectralClusters:
     def test_identity_single_cluster(self):
         alg = BlockAlgebra((3,))
-        (clusters,) = spectral_clusters(hermitian_eigh(alg.identity()), 1e-8)
+        (clusters,) = spectral_clusters(per_block_eigh_oracle(alg.identity()), 1e-8)
         assert len(clusters) == 1
         value, basis = clusters[0]
         assert value == pytest.approx(1.0)
@@ -201,13 +211,13 @@ class TestSpectralClusters:
     def test_distinct_eigenvalues_split(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 0.5, 0.0]])
-        (clusters,) = spectral_clusters(hermitian_eigh(h), 1e-8)
+        (clusters,) = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
         assert [value for value, _ in clusters] == pytest.approx([1.0, 0.5, 0.0])
 
     def test_gap_below_tolerance_merges(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 1.0 + 1e-12, 0.0]])
-        (clusters,) = spectral_clusters(hermitian_eigh(h), 1e-8)
+        (clusters,) = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
         values = [value for value, _ in clusters]
         assert len(values) == 2
         assert values == pytest.approx([1.0, 0.0], abs=1e-10)
@@ -218,7 +228,7 @@ class TestSpectralClusters:
         rng = rng_for(seed)
         alg = BlockAlgebra((int(rng.integers(1, 7)),))
         h = random_element(alg, rng, herm=True)
-        sc = spectral_clusters(hermitian_eigh(h), 1e-8)
+        sc = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
         diff = reconstruct(sc, alg) - h
         bound = max(1e-8 * alg.dims[0], 1e-8)
         assert diff.norm_fro() <= bound
@@ -244,7 +254,7 @@ class TestHermitianSqrt:
         x = alg.element([np.array([[1.0, 2.0], [0.0, 1.0]])])
         for (w, v), (w_h, v_h) in zip(hermitian_eigh(x), hermitian_eigh(x.hermitized()[0])):
             assert np.array_equal(w, w_h) and np.array_equal(v, v_h)
-        assert hermitian_eigh(x)[0][0] == pytest.approx([0.0, 2.0])
+        assert hermitian_eigh(x)[0][0][0] == pytest.approx([0.0, 2.0])  # block 0 of the size-2 stack
 
 
 class TestCommutatorNorm:
@@ -315,3 +325,86 @@ class TestTolerances:
         # bool is an int subclass: True would otherwise pass as 1 or 1.0.
         with pytest.raises(ValidationError, match=name):
             Tolerances(**{name: value})
+
+
+# Sizes interleave and repeat out of order, so every per-size stack and the
+# map from block index to (stack, slot) are exercised; every workload of the
+# benchmark uses a single block size.
+MIXED_DIMS = (2, 3, 2, 1, 3, 5, 2)
+
+
+def _same_blocks(x, blocks) -> bool:
+    return len(x.blocks) == len(blocks) and all(
+        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(x.blocks, blocks)
+    )
+
+
+def _per_block(alg, per_size) -> list:
+    """Per-size stacks, or pairs of them, split into their blocks in block order."""
+    return [per_size[g][j] for g, j in alg.slots]
+
+
+class TestStackedAgainstPerBlockOracle:
+    """Every stacked operation is bitwise the per-block loop it replaced."""
+
+    @pytest.fixture
+    def case(self):
+        alg = BlockAlgebra(MIXED_DIMS)
+        rng = rng_for(2024)
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        ox, oy = TupleElementOracle(x.blocks), TupleElementOracle(y.blocks)
+        return alg, rng, x, y, ox, oy
+
+    def test_layout(self, case):
+        alg, _, x, _, _, _ = case
+        assert alg.sizes == (2, 3, 1, 5)
+        assert alg.members == ((0, 2, 6), (1, 4), (3,), (5,))
+        assert [s.shape for s in x.stacks] == [(3, 2, 2), (2, 3, 3), (1, 1, 1), (1, 5, 5)]
+        assert all(np.shares_memory(b, x.stacks[g]) for b, (g, _) in zip(x.blocks, alg.slots))
+        values = [np.arange(len(ks)) * 10 + g for g, ks in enumerate(alg.members)]
+        assert alg.in_block_order(values).tolist() == [0, 1, 10, 2, 11, 3, 20]
+
+    def test_element_operations(self, case):
+        _, _, x, y, ox, oy = case
+        for got, want in [
+            (x + y, ox + oy), (x - y, ox - oy), (x @ y, ox @ oy), (x.H, ox.H),
+            (x.commutator(y), ox.commutator(oy)), (2.5 * x, ox * 2.5),
+            (x * (0.3 - 1.7j), ox * (0.3 - 1.7j)),
+        ]:
+            assert _same_blocks(got, want.blocks)
+        for got, want in [
+            (x.trace(), ox.trace()), (x.norm_fro(), ox.norm_fro()),
+            (x.skew_norm(), ox.skew_norm()),
+        ]:
+            assert got == want and type(got) is type(want)
+        h, residual = x.hermitized()
+        oh, oresidual = ox.hermitized()
+        assert _same_blocks(h, oh.blocks) and residual == oresidual
+        stacked = _per_block(x.algebra, x.eigvals())
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, ox.eigvals()))
+
+    def test_state_expectation(self, case):
+        alg, rng, x, _, _, _ = case
+        phi = random_density(alg, rng)
+        for e in (x, x @ x.H, alg.identity()):
+            assert phi.expect(e) == per_block_expect_oracle(phi.densities, e)
+
+    def test_eigh_and_sqrt(self, case):
+        alg, _, x, _, _, _ = case
+        h = x @ x.H
+        stacked, oracle = hermitian_eigh(h), per_block_eigh_oracle(h)
+        for (w, v), (ow, ov) in zip(
+            zip(_per_block(alg, [w for w, _ in stacked]), _per_block(alg, [v for _, v in stacked])),
+            oracle,
+        ):
+            assert np.array_equal(w, ow) and np.array_equal(v, ov)
+        for lo, hi in ((0.0, np.inf), (0.5, 2.0)):
+            root, clip = hermitian_sqrt(alg, stacked, lo, hi)
+            oroot, oclip = per_block_sqrt_oracle(alg, oracle, lo, hi)
+            assert _same_blocks(root, oroot.blocks) and clip == oclip
+
+    def test_complete_polar(self, case):
+        alg, _, x, _, _, _ = case
+        stacked = complete_polar(x.stacks)
+        oracle = per_block_polar_oracle(x.blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(_per_block(alg, stacked), oracle))

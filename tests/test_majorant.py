@@ -10,16 +10,19 @@ from povmround import (
     BlockAlgebra,
     FunctionalFamily,
     PreconditionError,
+    SolverError,
     Tolerances,
     ValidationError,
     minimal_majorant,
     verify_majorant_certificate,
 )
 from povmround import majorant as majorant_module
+from povmround.cli import main
 from povmround.generators import gen_instance, random_functionals
+from povmround.io import save_instance
 from povmround.majorant import NEWTON_TOL, _assemble_hessian
 
-from conftest import commuting_majorant_oracle, rng_for
+from conftest import commuting_majorant_oracle, per_block_newton_oracle, rng_for
 
 # Two rank-one projections at 45 degrees.  The dual problem maximizes
 # 1 + tr((P1 - P2) t1) over 0 <= t1 <= 1, attained at the positive spectral
@@ -228,9 +231,10 @@ def test_dense_and_cg_steps_agree(monkeypatch, d):
 
 
 class TestLinalgCalls:
-    """Per Newton step: one stacked inverse of the n matrices z - a_i (and, on
-    the CG path, one inverse of their mean for the preconditioner); per
-    barrier evaluation: one stacked Cholesky factorisation."""
+    """Per Newton round of the blocks of one size: one stacked inverse of the
+    matrices z - a_i of every block still centering (and, on the CG path,
+    one inverse of their mean per block for the preconditioner); per barrier
+    evaluation: one stacked Cholesky factorisation."""
 
     @staticmethod
     def _count(monkeypatch, dims, n):
@@ -262,19 +266,26 @@ class TestLinalgCalls:
         dims, n = (4, 4), 3
         calls, steps = self._count(monkeypatch, dims, n)
         k = len(dims)
-        # A gradient per step, one more per centering that ends it, and the dual recovery.
-        assert calls["inv"] == [(n, 4, 4)] * (steps + calls["stages"] * k + k)
-        assert calls["cholesky"] == [(n, 4, 4)] * calls["barrier"]
-        assert calls["solve"] == [(16, 16)] * steps
-        assert calls["hessian"] == steps
+        # Every call stacks the blocks still centering.  Per block: a gradient
+        # per step, one more per centering that ends it, and the dual recovery.
+        assert all(s[1:] == (n, 4, 4) and 1 <= s[0] <= k for s in calls["inv"])
+        assert sum(s[0] for s in calls["inv"]) == steps + calls["stages"] * k + k
+        assert all(s[1:] == (n, 4, 4) for s in calls["cholesky"])
+        assert len(calls["cholesky"]) == calls["barrier"]
+        assert all(s[1:] == (16, 16) for s in calls["solve"])
+        assert sum(s[0] for s in calls["solve"]) == steps
+        assert calls["hessian"] == len(calls["solve"]) < steps
 
     def test_cg_block_makes_no_dense_solve(self, monkeypatch):
+        # A block above DENSE_STEP_MAX_DIM is centred alone; only the dual
+        # recovery stacks the blocks of its size.
         n = 3
         calls, steps = self._count(monkeypatch, (16,), n)
         stacked = [s for s in calls["inv"] if s == (n, 16, 16)]
-        assert len(stacked) == steps + calls["stages"] + 1
+        assert len(stacked) == steps + calls["stages"]
+        assert calls["inv"].count((1, n, 16, 16)) == 1
         assert calls["inv"].count((16, 16)) == steps
-        assert len(calls["inv"]) == len(stacked) + steps
+        assert len(calls["inv"]) == len(stacked) + 1 + steps
         assert calls["cholesky"] == [(n, 16, 16)] * calls["barrier"]
         assert calls["solve"] == []
         assert calls["hessian"] == 0
@@ -380,3 +391,54 @@ def test_majorant_makes_no_kron_call(monkeypatch):
     sol = minimal_majorant(alg, f)
     assert all(c.passed for c in sol.checks(f))
     assert calls == []
+
+
+def test_batched_centering_matches_per_block_oracle(monkeypatch):
+    # Blocks of sizes 4 and 3 take the dense step in one batch per size, the
+    # d = 11 block the CG step; the stacked run must reproduce the
+    # block-at-a-time centering exactly, iterates, duals and step count.
+    alg = BlockAlgebra((4, 3, 4, 11, 3))
+    f = random_functionals(alg, 3, rng_for(43))
+    batched = minimal_majorant(alg, f)
+
+    def per_block(z, fam, mu, blocks):
+        z_blocks, iters = per_block_newton_oracle(list(z), list(fam), mu)
+        z[...] = np.stack(z_blocks)
+        return iters
+
+    monkeypatch.setattr(majorant_module, "_newton_center", per_block)
+    oracle = minimal_majorant(alg, f)
+    assert all(c.passed for c in batched.checks(f))
+    assert batched.newton_iterations == oracle.newton_iterations
+    assert all(np.array_equal(a, b) for a, b in zip(batched.majorant.blocks, oracle.majorant.blocks))
+    for t, u in zip(batched.dual_povm, oracle.dual_povm):
+        assert all(np.array_equal(a, b) for a, b in zip(t.blocks, u.blocks))
+
+
+class TestReachableGap:
+    """gap_tol is reachable down to about 1e-8 of the family's scale; below
+    that the centering stalls in double precision and the solver says so."""
+
+    @staticmethod
+    def _instance():
+        return gen_instance("random_functionals", 3, {"dims": [3], "n": 3})
+
+    def test_gap_1e8_is_reached(self):
+        inst = self._instance()
+        tol = Tolerances(gap_tol=1e-8)
+        sol = minimal_majorant(inst.algebra, inst.functionals, tol)
+        assert sol.newton_iterations == 69
+        assert all(c.passed for c in sol.checks(inst.functionals, tol))
+
+    def test_gap_1e9_raises_named_solver_error(self):
+        inst = self._instance()
+        with pytest.raises(SolverError, match="Newton did not reach tolerance in block 0 at mu="):
+            minimal_majorant(inst.algebra, inst.functionals, Tolerances(gap_tol=1e-9))
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        path = tmp_path / "fun.json"
+        save_instance(self._instance(), path)
+        assert main(["majorant", "--in", str(path), "--tol", "gap_tol=1e-8"]) == 0
+        capsys.readouterr()
+        assert main(["majorant", "--in", str(path), "--tol", "gap_tol=1e-9"]) == 1
+        assert "Newton did not reach tolerance in block 0" in capsys.readouterr().err

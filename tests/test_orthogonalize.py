@@ -28,7 +28,6 @@ from povmround.algebra import (
     hermitian_eigh,
     hermitian_sqrt,
     idempotency_residual,
-    projection_range,
 )
 from povmround.generators import (
     counterexample_triple,
@@ -45,9 +44,11 @@ from conftest import (
     kernel_completion_oracle,
     kron_null_space_oracle,
     per_cluster_eigh_selection_oracle,
+    projection_range,
     random_density,
     range_basis_polar_oracle,
     rng_for,
+    selection_bases,
 )
 
 orthogonalize_module = importlib.import_module("povmround.orthogonalize")
@@ -103,17 +104,17 @@ def _count_decompositions(monkeypatch, alg, phi, a):
 def _count_random(monkeypatch, dims):
     """Counts on a random n = 3 POVM, whose clusters are all 1 x 1.
 
-    eigh runs once per (output, block), shared by the spectral clusters and
-    a_i^(1/2), and once per block for the modulus; eigvalsh runs only in the
-    input validation, once per (output, block) for the POVM and once per
-    block for the state.
+    One batched eigh runs per (output, block size), shared by the spectral
+    clusters and a_i^(1/2), and one per block size for the modulus; eigvalsh
+    runs only in the input validation, once per (output, block size) for the
+    POVM and once per block size for the state.
     """
     rng = rng_for(5)
     alg = BlockAlgebra(dims)
     a = random_povm_near_pvm(alg, 3, 0.2, rng)
     calls = _count_decompositions(monkeypatch, alg, random_density(alg, rng), a)
-    n, blocks = a.n, alg.num_blocks
-    assert calls == {"eigh": n * blocks + blocks, "eigvalsh": n * blocks + blocks}
+    n, sizes = a.n, len(alg.sizes)
+    assert calls == {"eigh": n * sizes + sizes, "eigvalsh": n * sizes + sizes}
     return calls
 
 
@@ -170,12 +171,17 @@ class TestSelectProjections:
             a = random_povm_near_pvm(alg, n, float(rng.uniform(0, 0.4)), rng)
             phi = random_state(alg, rng)
             sel = select_projections(alg, phi, a)
+            owners = [sel.owners[g][j] for g, j in alg.slots]
             for k, d in enumerate(alg.dims):
                 assert sum(sel.ranks[k]) == d
-                for i, v in enumerate(sel.bases[k]):
+                u = sel.vectors.blocks[k]
+                for i, v in enumerate(selection_bases(sel)[k]):
                     assert v.shape == (d, sel.ranks[k][i])
                     assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-12
-                    assert np.array_equal(v @ v.conj().T, sel.projections[i].blocks[k])
+                    # q_i is u diag(owners == i) u^H, the sum of v v^H over v's columns.
+                    q = sel.projections[i].blocks[k]
+                    assert np.array_equal((u * (owners[k] == i)) @ u.conj().T, q)
+                    assert np.linalg.norm(v @ v.conj().T - q) <= 1e-15
             feas = sum(phi.expect(e @ e).real for e in a.elements)
             assert sel.lp_value >= feas - 1e-9
             assert sel.value >= 1.0 - defect(phi, a) - 1e-9
@@ -194,7 +200,7 @@ class TestSelectProjections:
             sel = select_projections(alg, phi, a)
             bases, lp_value = per_cluster_eigh_selection_oracle(alg, phi, a)
             assert sel.lp_value == pytest.approx(lp_value, rel=1e-14, abs=1e-15)
-            for row, oracle_row in zip(sel.bases, bases):
+            for row, oracle_row in zip(selection_bases(sel), bases):
                 for v, u in zip(row, oracle_row):
                     assert v.shape == u.shape
                     assert np.linalg.norm(v @ v.conj().T - u @ u.conj().T) <= 1e-12
@@ -224,7 +230,7 @@ class TestSelectProjections:
         sel, messages = _select_with_warnings(m2, phi, a)
         assert len(messages) == 1
         assert sel.ranks == [[1, 1]]
-        assert np.allclose(np.abs(sel.bases[0][0][:, 0]), [1.0, 0.0])
+        assert np.allclose(np.abs(selection_bases(sel)[0][0][:, 0]), [1.0, 0.0])
         assert sel.lp_value == 1.0 + 1e-4
 
 
@@ -241,7 +247,7 @@ def _selected_square_maps(alg, a, sel):
     """The square maps with rows V_ki^H a_i^(1/2) that orthogonalize builds."""
     roots = [hermitian_sqrt(alg, hermitian_eigh(e), 0.0, 1.0)[0] for e in a.elements]
     return [
-        np.vstack([v.conj().T @ r.blocks[k] for v, r in zip(sel.bases[k], roots)])
+        np.vstack([v.conj().T @ r.blocks[k] for v, r in zip(selection_bases(sel)[k], roots)])
         for k in range(alg.num_blocks)
     ]
 
@@ -307,7 +313,7 @@ class TestCompletePolar:
         sel = select_projections(alg, phi, a)
         x = _selected_column_maps(alg, a, sel.projections)[0]
         y = _selected_square_maps(alg, a, sel)[0]
-        q_basis = _stacked_basis(sel.bases[0], 3)
+        q_basis = _stacked_basis(selection_bases(sel)[0], 3)
         assert np.allclose(x, q_basis @ y, atol=1e-12)
         u = q_basis @ complete_polar([y])[0]
         assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
@@ -372,7 +378,8 @@ class TestCompletePolar:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         orthogonalize(alg, phi, a)
-        assert shapes == [(d, d) for d in alg.dims]
+        # One batched SVD per block size, of that size's (count, d, d) stack.
+        assert shapes == [(len(ks), d, d) for d, ks in zip(alg.sizes, alg.members)]
 
     def test_rank_sum_violation_raises(self):
         # Bases of total rank 1 on a 2-dimensional block give a wide map; the
@@ -458,10 +465,10 @@ class TestOrthogonalize:
 
     def test_no_projection_is_diagonalized_again(self, monkeypatch):
         # Every cluster here is 1 x 1 and no q_i block is decomposed.
-        assert _count_random(monkeypatch, (2, 2, 3, 1)) == {"eigh": 16, "eigvalsh": 16}
+        assert _count_random(monkeypatch, (2, 2, 3, 1)) == {"eigh": 12, "eigvalsh": 12}
 
     def test_each_element_is_diagonalized_once(self, monkeypatch):
-        assert _count_random(monkeypatch, (4,) * 10) == {"eigh": 40, "eigvalsh": 40}
+        assert _count_random(monkeypatch, (4,) * 10) == {"eigh": 4, "eigvalsh": 4}
 
     def test_each_multiple_cluster_adds_one_eigh(self, monkeypatch):
         # An exact PVM of ranks (2, 1) on M_3: two clusters of multiplicity 2
@@ -796,3 +803,25 @@ def test_symmetry_mode_forms_no_d2_by_d2_operand(monkeypatch):
     assert all(c.passed for c in sym.checks())
     assert svd_columns and 24 * 24 not in svd_columns
     assert 24**4 not in kron_sizes
+
+
+def test_decomposition_calls_do_not_grow_with_block_count(monkeypatch):
+    # Blocks of one size share one LAPACK call per decomposition, so 32 and
+    # 128 blocks of M_2 make the same number of eigh, eigvalsh and svd calls.
+    counts = []
+    for blocks in (32, 128):
+        rng = rng_for(blocks)
+        alg = BlockAlgebra((2,) * blocks)
+        a = random_povm_near_pvm(alg, 4, 0.05, rng)
+        phi = random_state(alg, rng)
+        calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert all(c.passed for c in orthogonalize(alg, phi, a).checks())
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1] == {"eigh": 5, "eigvalsh": 5, "svd": 1}

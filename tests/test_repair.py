@@ -1,5 +1,6 @@
 """Almost-commuting PVM repair and the finite-order unitary correspondence."""
 
+import importlib
 import itertools
 import math
 
@@ -10,21 +11,81 @@ from hypothesis import given, settings, strategies as st
 from povmround import (
     BlockAlgebra,
     PreconditionError,
+    Povm,
     Pvm,
     State,
+    ValidationError,
     commutation_defect,
     compress_povm,
     phi_norm_sq,
     pvm_to_unitary,
     repair,
+    orthogonalize,
+    orthogonalize_symmetry_preserving,
     repair_unitary_pair,
+    select_projections,
     unitary_to_pvm,
     validate_pvm,
 )
-from povmround.generators import gen_instance, random_pvm, rotated_pvm_pair
+from povmround.generators import gen_instance, random_povm_near_pvm, random_pvm, rotated_pvm_pair
 from povmround.repair import commutant_of_pvm
 
-from conftest import ambient_pinching_oracle, random_density, random_element, rng_for
+from conftest import (
+    ambient_pinching_oracle,
+    random_density,
+    random_element,
+    rng_for,
+    trace_two_state,
+)
+
+VALIDATORS = ("validate_state", "validate_povm", "validate_pvm")
+
+
+def _count_validations(monkeypatch, job) -> dict:
+    """The validate_* calls one job makes from the solver modules."""
+    counts = dict.fromkeys(VALIDATORS, 0)
+    for module in ("povmround.orthogonalize", "povmround.repair"):
+        module = importlib.import_module(module)
+        for name in VALIDATORS:
+            if hasattr(module, name):
+                def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    job()
+    return counts
+
+
+class TestEachInputValidatedOnce:
+    """A solver validates its inputs once; the inner rounding of symmetry mode
+    and of repair does not check the compressions it is handed again."""
+
+    def test_symmetry_mode(self, monkeypatch):
+        rng = rng_for(31)
+        small = random_povm_near_pvm(BlockAlgebra((2,)), 3, 0.2, rng)
+        alg = BlockAlgebra((4,))
+        a = Povm(alg, [alg.element([np.kron(e.blocks[0], np.eye(2))]) for e in small.elements])
+        phi = random_density(alg, rng)
+        counts = _count_validations(
+            monkeypatch, lambda: orthogonalize_symmetry_preserving(alg, phi, a)
+        )
+        assert counts == {"validate_state": 1, "validate_povm": 1, "validate_pvm": 0}
+
+    def test_repair(self, monkeypatch):
+        alg, phi, p, q = rotated_pvm_pair(0.1, (4, 4), n_p=3, n_q=3, rng=rng_for(32))
+        counts = _count_validations(monkeypatch, lambda: repair(phi, p, q))
+        assert counts == {"validate_state": 1, "validate_povm": 0, "validate_pvm": 2}
+
+    def test_public_entries_still_validate(self):
+        alg, phi, p, q = rotated_pvm_pair(0.1, (4, 4), n_p=3, n_q=3, rng=rng_for(33))
+        a = random_povm_near_pvm(alg, 3, 0.1, rng_for(34))
+        repair(phi, p, q)  # validates phi at the default tolerances
+        for solve in (orthogonalize, select_projections):
+            with pytest.raises(ValidationError, match="not a valid state"):
+                solve(alg, trace_two_state(phi), a)
+            with pytest.raises(ValidationError, match="not a valid POVM"):
+                solve(alg, phi, Povm(alg, [2.0 * e for e in a.elements]))
 
 
 def rotated_pair(theta):
