@@ -10,8 +10,6 @@ Core entry points:
   majorant of a family of positive functionals and its dual POVM.
 """
 
-from types import ModuleType as _ModuleType
-
 from .algebra import (
     AlgebraElement,
     BlockAlgebra,
@@ -64,8 +62,47 @@ from .repair import (
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the import lists are the one place that names them.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-) + ["__version__"]
+__all__ = [
+    "AlgebraElement",
+    "BlockAlgebra",
+    "CompressedPovm",
+    "FunctionalFamily",
+    "GeneratedAlgebra",
+    "MajorantSolution",
+    "OrthReport",
+    "Povm",
+    "PovmRoundError",
+    "PreconditionError",
+    "Pvm",
+    "RepairReport",
+    "SelectionResult",
+    "ShapeMismatchError",
+    "SolverError",
+    "State",
+    "SubAlgebra",
+    "SymmetricOrthReport",
+    "Tolerances",
+    "UnitaryRepairReport",
+    "ValidationError",
+    "commutation_defect",
+    "commutator_phi_norm_sq",
+    "complete_polar",
+    "compress_povm",
+    "decompose_generated_algebra",
+    "defect",
+    "minimal_majorant",
+    "orthogonalize",
+    "orthogonalize_symmetry_preserving",
+    "phi_norm_sq",
+    "pvm_to_unitary",
+    "repair",
+    "repair_unitary_pair",
+    "select_projections",
+    "spectral_clusters",
+    "unitary_to_pvm",
+    "validate_povm",
+    "validate_pvm",
+    "validate_state",
+    "verify_majorant_certificate",
+    "__version__",
+]

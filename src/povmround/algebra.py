@@ -139,12 +139,11 @@ class BlockAlgebra:
             raise ValidationError(message)
         sizes = tuple(dict.fromkeys(dims))
         members = tuple(tuple(k for k, d in enumerate(dims) if d == s) for s in sizes)
-        flat = [k for ks in members for k in ks]
-        slots = sorted((k, (g, j)) for g, ks in enumerate(members) for j, k in enumerate(ks))
+        slots = {k: (g, j) for g, ks in enumerate(members) for j, k in enumerate(ks)}
         for name, value in (
-            ("dims", dims), ("sizes", sizes), ("members", members), ("slots", [s for _, s in slots]),
+            ("dims", dims), ("sizes", sizes), ("members", members),
+            ("slots", [slots[k] for k in range(len(dims))]),
             ("shapes", [(len(ks), d, d) for d, ks in zip(sizes, members)]),
-            ("_order", None if flat == sorted(flat) else np.argsort(flat)),
         ):
             object.__setattr__(self, name, value)
 
@@ -156,14 +155,14 @@ class BlockAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def in_block_order(self, per_size: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-size arrays, first axis over that size's blocks, joined in block order."""
-        flat = per_size[0] if len(per_size) == 1 else np.concatenate(per_size)
-        return flat if self._order is None else flat[self._order]
+    def per_block(self, per_size: Sequence) -> list:
+        """Entries of per-size sequences, each indexed by slot, in block order."""
+        return [per_size[g][j] for g, j in self.slots]
 
     def block_sum(self, per_size: Sequence[np.ndarray]):
         """Sum of per-block values, added left to right in block order."""
-        return sum(self.in_block_order(per_size).tolist())
+        values = [s.tolist() for s in per_size]
+        return sum(values[0] if len(values) == 1 else self.per_block(values))
 
     def element(self, blocks) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
@@ -237,7 +236,7 @@ class AlgebraElement:
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         if self._blocks is None:
-            self._blocks = tuple(self.stacks[g][j] for g, j in self.algebra.slots)
+            self._blocks = tuple(self.algebra.per_block(self.stacks))
         return self._blocks
 
     def _map(self, fn, *others: "AlgebraElement") -> "AlgebraElement":
@@ -303,8 +302,9 @@ def element_sum(xs: Sequence[AlgebraElement]) -> AlgebraElement:
 
 
 def hermitian_eigh(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stacked eigenpairs (w ascending, v) of the Hermitian part, one eigh per
-    block size: the one decomposition that square roots and clusters read."""
+    """Per-size stacked eigenpairs (w ascending, v) of the Hermitian part, one
+    eigh per block size: the one decomposition of an element that
+    hermitian_sqrt and spectral_clusters both read."""
     return [np.linalg.eigh(hermitian_part(a)) for a in x.stacks]
 
 
@@ -326,12 +326,13 @@ class State:
     """Normal state phi(x) = sum_k Tr(rho_k x_k) given by a density element rho.
 
     The densities (an element, or its blocks) are symmetrized on construction,
-    the removed anti-Hermitian residual kept in ``hermitization_residual``.  A
-    state is not changed after construction: ``valid_at`` holds the tolerances
-    it last passed ``validate_state`` at, which a solver does not check again.
+    the removed anti-Hermitian residual kept in ``hermitization_residual``.
+    ``_valid_at`` is set only by a solver, to the tolerances of the inputs it
+    validated, on a restriction of them that it builds and hands its inner
+    rounding, which then does not check it again.
     """
 
-    __slots__ = ("algebra", "rho", "hermitization_residual", "valid_at")
+    __slots__ = ("algebra", "rho", "hermitization_residual", "_valid_at")
 
     def __init__(self, algebra: BlockAlgebra, densities):
         if not isinstance(densities, AlgebraElement):
@@ -340,7 +341,7 @@ class State:
             raise ShapeMismatchError("state does not match the algebra")
         self.algebra = algebra
         self.rho, self.hermitization_residual = densities.hermitized()
-        self.valid_at = None
+        self._valid_at = None
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:
@@ -384,7 +385,6 @@ def validate_state(alg: BlockAlgebra, phi: State, tol: Tolerances = DEFAULT_TOL)
         and trace_residual <= tol.cert_tol
         and phi.hermitization_residual <= tol.cert_tol
     )
-    phi.valid_at = tol if ok else None
     return StateDiagnostics(ok, min_eig, trace_residual, phi.hermitization_residual)
 
 
@@ -392,11 +392,10 @@ class Povm:
     """Tuple of positive elements summing to the identity.
 
     Elements are symmetrized on construction, with the residual recorded.
-    As for a state, ``valid_at`` holds the tolerances it last passed
-    ``validate_povm`` at.
+    ``_valid_at`` is as for a State.
     """
 
-    __slots__ = ("algebra", "elements", "hermitization_residual", "valid_at")
+    __slots__ = ("algebra", "elements", "hermitization_residual", "_valid_at")
 
     def __init__(self, algebra: BlockAlgebra, elements):
         elements = [e if isinstance(e, AlgebraElement) else algebra.element(e) for e in elements]
@@ -405,7 +404,7 @@ class Povm:
         if any(e.algebra.dims != algebra.dims for e in elements):
             raise ShapeMismatchError("POVM element does not match the algebra")
         fixed = [e.hermitized() for e in elements]
-        self.algebra, self.valid_at = algebra, None
+        self.algebra, self._valid_at = algebra, None
         self.elements = tuple(h for h, _ in fixed)
         self.hermitization_residual = max(0.0, *(r for _, r in fixed))
 
@@ -454,7 +453,6 @@ def validate_povm(alg: BlockAlgebra, a: Povm, tol: Tolerances = DEFAULT_TOL) -> 
         and sum_residual <= tol.cert_tol
         and herm <= tol.cert_tol
     )
-    a.valid_at = tol if ok else None
     return PovmDiagnostics(ok, neg, excess, sum_residual, herm)
 
 
@@ -510,33 +508,37 @@ def commutator_phi_norm_sq(phi: State, x: AlgebraElement, y: AlgebraElement) -> 
     return phi_norm_sq(phi, x.commutator(y))
 
 
-def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list:
     """Split eigenpairs (w descending, v's columns alongside) into runs: a new
     run starts wherever w[j - 1] - w[j] exceeds gap.  Returns (values, basis
-    columns) per run; each caller sets its own order and gap."""
-    runs = []
-    start = 0
-    for j in range(1, len(w) + 1):
-        if j == len(w) or (w[j - 1] - w[j]) > gap:
-            runs.append((w[start:j], v[:, start:j].copy()))
-            start = j
-    return runs
+    columns) per run, or for a (count, d) stack w and (count, d, d) stack v
+    one such list per matrix; each caller sets its own order and gap."""
+    stacked = w.ndim > 1
+    w, v = (w, v) if stacked else (w[None], v[None])
+    out = []
+    for wk, vk, new in zip(w, v, (w[:, :-1] - w[:, 1:] > gap).tolist()):
+        cuts = [0, *(j for j, b in enumerate(new, 1) if b), len(wk)]
+        out.append([(wk[i:j], vk[:, i:j].copy()) for i, j in zip(cuts, cuts[1:])])
+    return out if stacked else out[0]
 
 
 def spectral_clusters(
-    eigs: Sequence[tuple[np.ndarray, np.ndarray]], cluster_tol: float
+    alg: BlockAlgebra, eigs: Sequence[tuple[np.ndarray, np.ndarray]], cluster_tol: float
 ) -> list[list[tuple[float, np.ndarray]]]:
-    """Per-block (value, basis) clusters of per-block eigenpairs, values descending.
+    """Per-block (value, basis) clusters, in block order and values descending,
+    of the stacked eigenpairs that hermitian_eigh returns.
 
     A new cluster starts whenever the gap to the previous eigenvalue exceeds
     cluster_tol; the value is the mean of the cluster's eigenvalues and the
     basis its (d, multiplicity) orthonormal eigenvector columns.
     """
-    return [
-        [(float(vals.mean()), basis)
-         for vals, basis in split_at_gaps(w[::-1], v[:, ::-1], cluster_tol)]
+    if [v.shape for _, v in eigs] != alg.shapes:
+        raise ShapeMismatchError(f"eigenpairs do not fit {alg}: {[v.shape for _, v in eigs]}")
+    return alg.per_block([
+        [[(float(vals[0] if len(vals) == 1 else vals.mean()), basis) for vals, basis in runs]
+         for runs in split_at_gaps(w[:, ::-1], v[..., ::-1], cluster_tol)]
         for w, v in eigs
-    ]
+    ])
 
 
 @dataclass

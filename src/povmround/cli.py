@@ -214,7 +214,13 @@ def _cmd_sweep(args, tol: Tolerances):
         checks.append(check_geq(f"seed_{seed}_bound_margin", margin, 0.0))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv_module.DictWriter(fh, fieldnames=list(rows[0]))
+            writer = csv_module.DictWriter(
+                fh,
+                fieldnames=[
+                    "seed", "dims", "n", "defect", "error", "ratio",
+                    "bound_9eps_margin", "runtime_ms",
+                ],
+            )
             writer.writeheader()
             writer.writerows(rows)
     worst = min((r["bound_9eps_margin"] for r in rows), default=None)
@@ -278,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-dim", type=int, default=8, dest="max_dim")
     p_sweep.add_argument("--max-outputs", type=int, default=5, dest="max_outputs")
     p_sweep.add_argument("--csv", help="write per-instance rows here")
-    common(p_sweep, needs_in=False)
+    p_sweep.add_argument("--out", dest="output")
+    p_sweep.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
     return parser
 
 
@@ -304,16 +311,27 @@ def run_command(args) -> tuple[dict, int]:
         return {"command": "gen", "pass": True, "checks": []}, 0
 
     if args.command == "sweep":
-        (result, checks), digest = _cmd_sweep(args, tol), ""
-        metadata = {"seed": args.seed, "count": args.count}
-    elif args.command == "verify":
-        (result, checks), digest, metadata = _cmd_verify(args.input, tol), file_digest(args.input), {}
-    else:
-        inst = load_instance(args.input)
-        result, checks = _INSTANCE_COMMANDS[args.command](inst, tol)
-        digest, metadata = file_digest(args.input), inst.metadata
+        result, checks = _cmd_sweep(args, tol)
+        doc = make_report(
+            "sweep", "", tol, result, checks, time.perf_counter() - start,
+            metadata={"seed": args.seed, "count": args.count},
+        )
+        return doc, 0 if all(c.passed for c in checks) else 1
+
+    if args.command == "verify":
+        result, checks = _cmd_verify(args.input, tol)
+        doc = make_report(
+            "verify", file_digest(args.input), tol, result, checks,
+            time.perf_counter() - start,
+        )
+        return doc, 0 if all(c.passed for c in checks) else 1
+
+    handler = _INSTANCE_COMMANDS[args.command]
+    inst = load_instance(args.input)
+    result, checks = handler(inst, tol)
     doc = make_report(
-        args.command, digest, tol, result, checks, time.perf_counter() - start, metadata=metadata
+        args.command, file_digest(args.input), tol, result, checks,
+        time.perf_counter() - start, metadata=inst.metadata,
     )
     return doc, 0 if all(c.passed for c in checks) else 1
 

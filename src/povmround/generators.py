@@ -250,37 +250,60 @@ def gen_instance(kind: str, seed: int, params: dict | None = None) -> Instance:
         "generator": GENERATOR_NAME,
     }
     rng = _rng(seed)
-    dims = tuple(int(x) for x in params.get("dims", (2,) if kind == "rotated_pvm_pair" else (4,)))
-    _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
-    for key in ("n", "n_p", "n_q", "state_rank"):
-        _require(params.get(key) is None or 1 <= int(params[key]) <= 16, f"{key} must lie in 1..16")
-    alg = BlockAlgebra(dims)
-    n = int(params.get("n", 3))
 
-    if kind in ("random_povm_near_pvm", "random_state"):
-        povm = None
-        if kind == "random_povm_near_pvm":
-            delta = float(params.get("delta", 0.05))
-            _require(0.0 <= delta <= 0.5, "delta must lie in [0, 0.5]")
-            povm = random_povm_near_pvm(alg, n, delta, rng)
-        phi = random_state(alg, rng, rank=params.get("state_rank"),
-                           single_block=bool(params.get("single_block", False)))
+    if kind == "random_povm_near_pvm":
+        dims = tuple(int(x) for x in params.get("dims", (4,)))
+        n = int(params.get("n", 3))
+        delta = float(params.get("delta", 0.05))
+        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+        _require(1 <= n <= 16, "n must lie in 1..16")
+        _require(0.0 <= delta <= 0.5, "delta must lie in [0, 0.5]")
+        rank = params.get("state_rank")
+        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
+        alg = BlockAlgebra(dims)
+        povm = random_povm_near_pvm(alg, n, delta, rng)
+        phi = random_state(alg, rng, rank=rank, single_block=bool(params.get("single_block", False)))
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
+    if kind == "random_state":
+        dims = tuple(int(x) for x in params.get("dims", (4,)))
+        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+        rank = params.get("state_rank")
+        _require(rank is None or 1 <= rank <= 16, "state_rank must lie in 1..16")
+        alg = BlockAlgebra(dims)
+        phi = random_state(alg, rng, rank=rank,
+                           single_block=bool(params.get("single_block", False)))
+        return Instance(alg, state=phi, metadata=meta)
+
     if kind == "paper_counterexample":
-        alg, phi, povm = counterexample_triple(float(params.get("delta", 0.01)))
+        delta = float(params.get("delta", 0.01))
+        alg, phi, povm = counterexample_triple(delta)
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
     if kind == "linfty2_family":
-        alg, phi, povm = linfty2_family(float(params.get("c", 0.1)))
+        c = float(params.get("c", 0.1))
+        alg, phi, povm = linfty2_family(c)
         return Instance(alg, state=phi, povm=povm, metadata=meta)
 
     if kind == "rotated_pvm_pair":
+        theta = float(params.get("theta", 0.1))
+        canonical = bool(params.get("canonical", False))
+        dims = tuple(int(x) for x in params.get("dims", (2,)))
+        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+        n_p = int(params.get("n_p", 2))
+        n_q = int(params.get("n_q", 2))
+        _require(1 <= n_p <= 16, "n_p must lie in 1..16")
+        _require(1 <= n_q <= 16, "n_q must lie in 1..16")
         alg, phi, p, q = rotated_pvm_pair(
-            float(params.get("theta", 0.1)), dims, n_p=int(params.get("n_p", 2)),
-            n_q=int(params.get("n_q", 2)), rng=rng, canonical=bool(params.get("canonical", False)),
+            theta, dims, n_p=n_p, n_q=n_q, rng=rng, canonical=canonical
         )
         return Instance(alg, state=phi, pvm_pair=(p, q), metadata=meta)
 
-    fam = random_functionals(alg, n, rng, diagonal=bool(params.get("diagonal", False)))
-    return Instance(alg, functionals=fam, metadata=meta)
+    if kind == "random_functionals":
+        dims = tuple(int(x) for x in params.get("dims", (4,)))
+        n = int(params.get("n", 3))
+        _require(all(1 <= d <= 16 for d in dims), "dims must lie in 1..16")
+        _require(1 <= n <= 16, "n must lie in 1..16")
+        alg = BlockAlgebra(dims)
+        fam = random_functionals(alg, n, rng, diagonal=bool(params.get("diagonal", False)))
+        return Instance(alg, functionals=fam, metadata=meta)

@@ -207,13 +207,14 @@ def _barrier(z, fam, mu):
     except np.linalg.LinAlgError:
         if z.ndim == 2 or len(z) == 1:
             return np.full(z.shape[:-2], np.inf)
-        # A block where some z - a_i has an eigenvalue <= 0 is not interior; the others
-        # are factored again in one batch, or one at a time if the screen finds none.
+        # One eigvalsh call finds the blocks that are not interior, and the rest
+        # are factored again together; if it finds none, one at a time.
         inside = np.linalg.eigvalsh(x).min(axis=(1, 2)) > 0
+        if inside.all():
+            return np.array([_barrier(zk, fk, mu) for zk, fk in zip(z, fam)])
         out = np.full(len(z), np.inf)
-        for part in [[j] for j in range(len(z))] if inside.all() else [np.flatnonzero(inside)]:
-            if len(part):
-                out[part] = _barrier(z[part], fam[part], mu)
+        if inside.any():
+            out[inside] = _barrier(z[inside], fam[inside], mu)
         return out
     logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(c, axis1=-2, axis2=-1))), axis=-1)
     # Summed left to right over i: numpy's pairwise sum would reorder n >= 8 terms.
@@ -338,17 +339,13 @@ def _newton_center(z, fam, mu, blocks):
         # Backtracking per block: the first of t = 1, 1/2, ... that does not raise the barrier.
         todo, t = np.arange(m), 1.0
         for _ in range(60):
-            sub = slice(None) if len(todo) == m else todo
-            cand = zs[sub] + t * step[sub]
-            value = _barrier(cand, fs[sub], mu)
-            cur = current[sub].tolist()
-            ok = [v <= c + 1e-12 * max(1.0, abs(c)) for v, c in zip(value.tolist(), cur)]
-            if all(ok):
-                zs[sub], current[sub] = cand, value
+            cand = zs[todo] + t * step[todo]
+            value = _barrier(cand, fs[todo], mu)
+            ok = value <= current[todo] + 1e-12 * np.maximum(1.0, np.abs(current[todo]))
+            zs[todo[ok]], current[todo[ok]] = cand[ok], value[ok]
+            todo = todo[~ok]
+            if not len(todo):
                 break
-            if any(ok):
-                zs[todo[ok]], current[todo[ok]] = cand[ok], value[ok]
-                todo = todo[np.logical_not(ok)]
             t *= 0.5
         else:
             raise _stalled("line search stalled", blocks[slots[todo[0]]], mu, gnorm[todo[0]])

@@ -28,6 +28,7 @@ output commutes with every operator that commutes with all inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,9 +97,9 @@ SYMMETRY_TOL = 1e-8          # [commutant basis, p_i] residual
 class SelectionResult:
     """Commuting projections q_i with blockwise ranks summing to d_k."""
 
-    projections: list[AlgebraElement]  # q_i = u diag(owners == i) u^H per block
-    vectors: AlgebraElement      # per block, d_k orthonormal picked columns u, grouped by output
-    owners: list[np.ndarray]     # per block size, (count, d): the output of each column of u
+    projections: list[AlgebraElement]  # q_i, with blocks bases[k][i] bases[k][i]^H
+    bases: list[list[np.ndarray]]  # bases[k][i]: d_k x r_ki orthonormal columns spanning q_i
+    vectors: AlgebraElement      # block k: the columns of bases[k][0], bases[k][1], ... side by side
     eigenpairs: list[list[tuple[np.ndarray, np.ndarray]]]  # eigenpairs[i]: hermitian_eigh(a_i)
     value: float                 # phi(sum_i q_i a_i), evaluated exactly
     lp_value: float              # optimum of the selection linear program
@@ -177,11 +178,24 @@ SCORE_CLIP_TOL = 1e-9
 
 
 def _require_inputs(alg: BlockAlgebra, phi: State, a: Povm, tol: Tolerances) -> None:
-    """Validate the inputs, skipping any already validated at tol (``valid_at``)."""
-    if phi.valid_at != tol:
+    """Validate the inputs, unless a solver built them from inputs it
+    validated at tol (``_valid_at``)."""
+    if phi._valid_at != tol:
         require_valid(validate_state(alg, phi, tol), "input is not a valid state")
-    if a.valid_at != tol:
+    if a._valid_at != tol:
         require_valid(validate_povm(alg, a, tol), "input is not a valid POVM")
+
+
+def _range_projections(alg: BlockAlgebra, bases: Sequence[np.ndarray]) -> AlgebraElement:
+    """The element with blocks v_k v_k^H, one product per block size and rank r_k."""
+    stacks = [np.empty(shape, dtype=complex) for shape in alg.shapes]
+    for q, ks in zip(stacks, alg.members):
+        ranks = np.array([bases[k].shape[1] for k in ks])
+        for r in set(ranks.tolist()):
+            at = np.flatnonzero(ranks == r)
+            v = np.stack([bases[ks[c]] for c in at])
+            q[at] = v @ dagger(v)
+    return AlgebraElement.from_stacks(alg, stacks)
 
 
 def select_projections(
@@ -198,64 +212,58 @@ def select_projections(
     """
     _require_inputs(alg, phi, a, tol)
 
-    # Pool of candidate rank-one items per block: the eigenvectors of the
-    # score matrix lambda * B^H rho B of each spectral cluster (lambda, B) of
-    # each output.  Simple clusters score lambda_j v_j^H rho v_j, formed for
-    # all blocks of a size at once; a block with a multiple eigenvalue takes
-    # its clusters from spectral_clusters, with one eigh per multiple one.
+    # Pool of candidate rank-one items per block.  An item is one eigenvector
+    # of the compressed score matrix lambda * B^H rho B of one spectral
+    # cluster (lambda, B) of one output.  A cluster of multiplicity 1 is one
+    # item, scored lambda v^H rho v with the others of its block size at once.
     eigenpairs = [hermitian_eigh(e) for e in a.elements]
-    us, owners = [], []
-    lp_value = 0.0
-    for g, (d, ks) in enumerate(zip(alg.sizes, alg.members)):
-        rho = phi.rho.stacks[g]
-        per_output = []
-        for w, v in (eigs[g] for eigs in eigenpairs):
-            w, v = w[:, ::-1], v[..., ::-1]  # descending
-            scores = w * np.sum((dagger(v) @ rho) * v.swapaxes(-1, -2), axis=-1).real
-            simple = np.all(w[:, :-1] - w[:, 1:] > CLUSTER_TOL, axis=-1)
-            per_output.append((w, v, w.tolist(), scores.tolist(), simple.tolist()))
-        u = np.empty((len(ks), d, d), dtype=complex)
-        owner = np.empty((len(ks), d), dtype=int)
-        for c, k in enumerate(ks):
-            items = []  # (score, output, -eigenvalue, vec_index, vector)
-            for i, (w, v, lams, scores, simple) in enumerate(per_output):
-                if simple[c]:
-                    clusters = [(lam, [(s, x)]) for lam, s, x in zip(lams[c], scores[c], v[c].T)]
-                else:
-                    clusters = []
-                    for lam, basis in spectral_clusters([(w[c, ::-1], v[c, :, ::-1])], CLUSTER_TOL)[0]:
-                        m = lam * (basis.conj().T @ rho[c] @ basis)
-                        if basis.shape[1] == 1:  # a 1 x 1 score matrix needs no eigh
-                            clusters.append((lam, [(m[0, 0].real, basis[:, 0])]))
-                            continue
-                        sw, sv = np.linalg.eigh(hermitian_part(m))
-                        clusters.append((lam, [(s, basis @ x) for s, x in zip(sw[::-1], sv.T[::-1])]))
-                for lam, pairs in clusters:
-                    for j, (s, vec) in enumerate(pairs):
-                        s = float(s)
-                        if s < -SCORE_CLIP_TOL:
-                            warnings.warn(
-                                f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
-                                f"(block {k}, output {i})",
-                                RuntimeWarning,
-                            )
-                            s = 0.0
-                        items.append((s, i, -lam, j, vec))
-            items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
-            lp_value = sum((it[0] for it in items[:d]), lp_value)  # left to right, in pick order
-            picked = sorted(items[:d], key=lambda it: it[1])  # stable: pick order within an output
-            u[c] = np.array([it[4] for it in picked]).T
-            owner[c] = [it[1] for it in picked]
-        us.append(u)
-        owners.append(owner)
+    clusters_per_output = [spectral_clusters(alg, eigs, CLUSTER_TOL) for eigs in eigenpairs]
+    scores_per_output = [  # descending, as the clusters
+        alg.per_block([
+            (w * np.sum((dagger(v) @ rho) * v.swapaxes(-1, -2), axis=-1).real)[:, ::-1].tolist()
+            for (w, v), rho in zip(eigs, phi.rho.stacks)
+        ])
+        for eigs in eigenpairs
+    ]
 
-    qs = [[(u * (o == i)[:, None]) @ dagger(u) for i in range(a.n)] for u, o in zip(us, owners)]
-    projections = [AlgebraElement.from_stacks(alg, q) for q in zip(*qs)]  # q_i = u diag(o == i) u^H
-    ranks = alg.in_block_order([(o[..., None] == np.arange(a.n)).sum(axis=1) for o in owners]).tolist()
+    vectors = alg.zero()
+    bases, ranks = [], []
+    lp_value = 0.0
+
+    for k, (d, rho, u) in enumerate(zip(alg.dims, phi.densities, vectors.blocks)):
+        items = []  # (score, output, -eigenvalue, vec_index, vector)
+        for i in range(a.n):
+            column = 0
+            for lam, basis in clusters_per_output[i][k]:
+                if basis.shape[1] == 1:
+                    pairs = [(scores_per_output[i][k][column], basis[:, 0])]
+                else:
+                    w, v = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
+                    pairs = [(w[j], basis @ v[:, j]) for j in reversed(range(len(w)))]
+                column += basis.shape[1]
+                for j, (s, vec) in enumerate(pairs):
+                    s = float(s)
+                    if s < -SCORE_CLIP_TOL:
+                        warnings.warn(
+                            f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
+                            f"(block {k}, output {i})",
+                            RuntimeWarning,
+                        )
+                        s = 0.0
+                    items.append((s, i, -lam, j, vec))
+        items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
+        ranks.append([0] * a.n)
+        for s, i, *_ in items[:d]:
+            lp_value += s
+            ranks[k][i] += 1
+        # Grouped by output; the sort is stable, so in pick order within one.
+        u[...] = np.array([it[4] for it in sorted(items[:d], key=lambda it: it[1])]).T
+        bases.append([u[:, e - r : e] for r, e in zip(ranks[k], itertools.accumulate(ranks[k]))])
+
+    projections = [_range_projections(alg, [row[i] for row in bases]) for i in range(a.n)]
     value = sum(phi.expect(q @ e).real for q, e in zip(projections, a.elements))
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
-    vectors = AlgebraElement.from_stacks(alg, us)
-    return SelectionResult(projections, vectors, owners, eigenpairs, value, lp_value, ranks, comm)
+    return SelectionResult(projections, bases, vectors, eigenpairs, value, lp_value, ranks, comm)
 
 
 def complete_polar(maps: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -287,7 +295,6 @@ def orthogonalize(
     output is p_i = w_i^H w_i.  The error satisfies
     sum_i phi(|a_i - p_i|^2) <= 9 * defect up to certificate tolerance.
     """
-    _require_inputs(alg, phi, a, tol)
     eps0 = defect(phi, a)
     sel = select_projections(alg, phi, a, tol)
 
@@ -296,14 +303,16 @@ def orthogonalize(
 
     # Row r of the square map of a block is u_r^H a_i^(1/2), for the
     # selected column u_r and its output i.
-    maps = []
-    for g, (u, owner) in enumerate(zip(sel.vectors.stacks, sel.owners)):
-        rows = np.stack([dagger(u) @ r.stacks[g] for r in roots])
-        maps.append(np.take_along_axis(rows, owner[None, :, :, None], axis=0)[0])
+    maps, owners = [], []
+    for g, (d, ks) in enumerate(zip(alg.sizes, alg.members)):
+        ends = np.cumsum([sel.ranks[k] for k in ks], axis=1)[:, None, :]
+        owners.append(np.sum(np.arange(d)[:, None] >= ends, axis=-1))  # the output of each column
+        rows = np.stack([dagger(sel.vectors.stacks[g]) @ r.stacks[g] for r in roots])
+        maps.append(np.take_along_axis(rows, owners[g][None, :, :, None], axis=0)[0])
     w = complete_polar(maps)
     pvm = Pvm(alg, [  # p_i = w_i^H w_i, the rows of w of output i
         AlgebraElement.from_stacks(
-            alg, [hermitian_part(dagger(x * (o == i)[..., None]) @ x) for x, o in zip(w, sel.owners)]
+            alg, [hermitian_part(dagger(x * (o == i)[..., None]) @ x) for x, o in zip(w, owners)]
         )
         for i in range(a.n)
     ])
@@ -588,7 +597,7 @@ def orthogonalize_symmetry_preserving(
     _require_inputs(alg, phi, a, tol)
     decomp = decompose_generated_algebra(list(a.elements))
     inner_phi, inner_a = decomp.restrict(phi, a.elements)
-    inner_phi.valid_at = inner_a.valid_at = tol  # compressions of validated inputs
+    inner_phi._valid_at = inner_a._valid_at = tol  # restrictions of validated inputs
     inner = orthogonalize(decomp.sub, inner_phi, inner_a, tol)
     pvm = decomp.embed_pvm(inner.pvm)
 

@@ -121,7 +121,7 @@ def compress_povm(p: Pvm, q: Pvm, phi: State, tol: Tolerances = DEFAULT_TOL) -> 
 
     # Compressing p_i is compressing its pinching: V_j^H p_i V_j = V_j^H a_i V_j.
     phi_restricted, compressed = comm.restrict(phi, p.elements)
-    phi_restricted.valid_at = compressed.valid_at = tol  # compressions of validated inputs
+    phi_restricted._valid_at = compressed._valid_at = tol  # restrictions of validated inputs
     pinch_cost = phi_distance_sq(phi, p.elements, [comm.embed(c) for c in compressed.elements])
     compressed_defect = defect(phi_restricted, compressed)
     identity_residual = abs(eps_c - pinch_cost - compressed_defect)

@@ -36,13 +36,6 @@ def projection_range(block: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5].copy()  # the indexed view is F-ordered; products expect C order
 
 
-def selection_bases(sel) -> list[list[np.ndarray]]:
-    """bases[k][i]: the d_k x r_ki picked columns of a selection that span q_i."""
-    owners = [sel.owners[g][j] for g, j in sel.vectors.algebra.slots]
-    n = len(sel.projections)
-    return [[u[:, o == i] for i in range(n)] for u, o in zip(sel.vectors.blocks, owners)]
-
-
 # The per-block loops that the stacked primitives in algebra.py,
 # orthogonalize.py and majorant.py replaced; used as differential oracles,
 # which the stacked code must match bit for bit.
@@ -100,6 +93,21 @@ def per_block_expect_oracle(densities, x) -> complex:
 def per_block_eigh_oracle(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-block eigenpairs (w ascending, v) of the Hermitian part."""
     return [np.linalg.eigh(hermitian_part(a)) for a in x.blocks]
+
+
+def per_block_clusters_oracle(eigs, cluster_tol: float) -> list[list[tuple[float, np.ndarray]]]:
+    """Per-block (value, basis) clusters of per-block eigenpairs, values
+    descending, split by one comparison per adjacent pair of eigenvalues."""
+    clusters = []
+    for w, v in eigs:
+        w, v = w[::-1], v[:, ::-1]
+        runs, start = [], 0
+        for j in range(1, len(w) + 1):
+            if j == len(w) or (w[j - 1] - w[j]) > cluster_tol:
+                runs.append((float(w[start:j].mean()), v[:, start:j].copy()))
+                start = j
+        clusters.append(runs)
+    return clusters
 
 
 def per_block_sqrt_oracle(alg, eigs, lo=0.0, hi=np.inf) -> tuple[AlgebraElement, float]:

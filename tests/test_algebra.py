@@ -34,6 +34,7 @@ from povmround.orthogonalize import complete_polar
 from conftest import (
     TupleElementOracle,
     per_block_eigh_oracle,
+    per_block_clusters_oracle,
     per_block_expect_oracle,
     per_block_polar_oracle,
     per_block_sqrt_oracle,
@@ -202,7 +203,7 @@ class TestDefect:
 class TestSpectralClusters:
     def test_identity_single_cluster(self):
         alg = BlockAlgebra((3,))
-        (clusters,) = spectral_clusters(per_block_eigh_oracle(alg.identity()), 1e-8)
+        (clusters,) = spectral_clusters(alg, hermitian_eigh(alg.identity()), 1e-8)
         assert len(clusters) == 1
         value, basis = clusters[0]
         assert value == pytest.approx(1.0)
@@ -211,13 +212,13 @@ class TestSpectralClusters:
     def test_distinct_eigenvalues_split(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 0.5, 0.0]])
-        (clusters,) = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
+        (clusters,) = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
         assert [value for value, _ in clusters] == pytest.approx([1.0, 0.5, 0.0])
 
     def test_gap_below_tolerance_merges(self):
         alg = BlockAlgebra((3,))
         h = alg.diagonal([[1.0, 1.0 + 1e-12, 0.0]])
-        (clusters,) = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
+        (clusters,) = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
         values = [value for value, _ in clusters]
         assert len(values) == 2
         assert values == pytest.approx([1.0, 0.0], abs=1e-10)
@@ -228,7 +229,7 @@ class TestSpectralClusters:
         rng = rng_for(seed)
         alg = BlockAlgebra((int(rng.integers(1, 7)),))
         h = random_element(alg, rng, herm=True)
-        sc = spectral_clusters(per_block_eigh_oracle(h), 1e-8)
+        sc = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
         diff = reconstruct(sc, alg) - h
         bound = max(1e-8 * alg.dims[0], 1e-8)
         assert diff.norm_fro() <= bound
@@ -339,11 +340,6 @@ def _same_blocks(x, blocks) -> bool:
     )
 
 
-def _per_block(alg, per_size) -> list:
-    """Per-size stacks, or pairs of them, split into their blocks in block order."""
-    return [per_size[g][j] for g, j in alg.slots]
-
-
 class TestStackedAgainstPerBlockOracle:
     """Every stacked operation is bitwise the per-block loop it replaced."""
 
@@ -362,7 +358,8 @@ class TestStackedAgainstPerBlockOracle:
         assert [s.shape for s in x.stacks] == [(3, 2, 2), (2, 3, 3), (1, 1, 1), (1, 5, 5)]
         assert all(np.shares_memory(b, x.stacks[g]) for b, (g, _) in zip(x.blocks, alg.slots))
         values = [np.arange(len(ks)) * 10 + g for g, ks in enumerate(alg.members)]
-        assert alg.in_block_order(values).tolist() == [0, 1, 10, 2, 11, 3, 20]
+        assert alg.per_block(values) == [0, 1, 10, 2, 11, 3, 20]
+        assert alg.block_sum([0.1 * v for v in values]) == sum(0.1 * v for v in alg.per_block(values))
 
     def test_element_operations(self, case):
         _, _, x, y, ox, oy = case
@@ -380,7 +377,7 @@ class TestStackedAgainstPerBlockOracle:
         h, residual = x.hermitized()
         oh, oresidual = ox.hermitized()
         assert _same_blocks(h, oh.blocks) and residual == oresidual
-        stacked = _per_block(x.algebra, x.eigvals())
+        stacked = x.algebra.per_block(x.eigvals())
         assert all(np.array_equal(a, b) for a, b in zip(stacked, ox.eigvals()))
 
     def test_state_expectation(self, case):
@@ -394,7 +391,7 @@ class TestStackedAgainstPerBlockOracle:
         h = x @ x.H
         stacked, oracle = hermitian_eigh(h), per_block_eigh_oracle(h)
         for (w, v), (ow, ov) in zip(
-            zip(_per_block(alg, [w for w, _ in stacked]), _per_block(alg, [v for _, v in stacked])),
+            zip(alg.per_block([w for w, _ in stacked]), alg.per_block([v for _, v in stacked])),
             oracle,
         ):
             assert np.array_equal(w, ow) and np.array_equal(v, ov)
@@ -407,4 +404,22 @@ class TestStackedAgainstPerBlockOracle:
         alg, _, x, _, _, _ = case
         stacked = complete_polar(x.stacks)
         oracle = per_block_polar_oracle(x.blocks)
-        assert all(np.array_equal(a, b) for a, b in zip(_per_block(alg, stacked), oracle))
+        assert all(np.array_equal(a, b) for a, b in zip(alg.per_block(stacked), oracle))
+
+    def test_spectral_clusters(self, case):
+        alg, _, x, _, _, _ = case
+        # Repeated eigenvalues in some blocks, so clusters of several sizes occur.
+        h = alg.element([np.diag(np.round(np.diag(b).real, 0)) for b in (x @ x.H).blocks])
+        h = h + 1e-12 * (x + x.H)
+        stacked = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
+        oracle = per_block_clusters_oracle(per_block_eigh_oracle(h), 1e-8)
+        assert [len(c) for c in stacked] == [len(c) for c in oracle]
+        assert any(b.shape[1] > 1 for c in stacked for _, b in c)
+        for got, want in zip(stacked, oracle):
+            for (value, basis), (ovalue, obasis) in zip(got, want):
+                assert value == ovalue and np.array_equal(basis, obasis)
+
+    def test_spectral_clusters_reject_per_block_eigenpairs(self, case):
+        alg, _, x, _, _, _ = case
+        with pytest.raises(ShapeMismatchError):
+            spectral_clusters(alg, per_block_eigh_oracle(x), 1e-8)

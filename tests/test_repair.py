@@ -25,7 +25,9 @@ from povmround import (
     repair_unitary_pair,
     select_projections,
     unitary_to_pvm,
+    validate_povm,
     validate_pvm,
+    validate_state,
 )
 from povmround.generators import gen_instance, random_povm_near_pvm, random_pvm, rotated_pvm_pair
 from povmround.repair import commutant_of_pvm
@@ -81,11 +83,30 @@ class TestEachInputValidatedOnce:
         alg, phi, p, q = rotated_pvm_pair(0.1, (4, 4), n_p=3, n_q=3, rng=rng_for(33))
         a = random_povm_near_pvm(alg, 3, 0.1, rng_for(34))
         repair(phi, p, q)  # validates phi at the default tolerances
-        for solve in (orthogonalize, select_projections):
+        for solve in (orthogonalize, select_projections, orthogonalize_symmetry_preserving):
             with pytest.raises(ValidationError, match="not a valid state"):
                 solve(alg, trace_two_state(phi), a)
             with pytest.raises(ValidationError, match="not a valid POVM"):
                 solve(alg, phi, Povm(alg, [2.0 * e for e in a.elements]))
+
+    def test_inputs_changed_after_validation_are_rejected(self):
+        # validate_* leaves no mark on the caller's objects, so an input
+        # changed in place after it passed is checked again by every solver.
+        alg = BlockAlgebra((2, 3, 2))
+        rng = rng_for(35)
+        a = random_povm_near_pvm(alg, 3, 0.1, rng)
+        phi = random_density(alg, rng)
+        assert validate_state(alg, phi).is_valid and validate_povm(alg, a).is_valid
+        solvers = (orthogonalize, select_projections, orthogonalize_symmetry_preserving)
+        phi.rho.stacks[0][...] *= 2.0
+        for solve in solvers:
+            with pytest.raises(ValidationError, match="not a valid state"):
+                solve(alg, phi, a)
+        phi.rho.stacks[0][...] /= 2.0
+        a.elements[0].stacks[1][...] *= 2.0
+        for solve in solvers:
+            with pytest.raises(ValidationError, match="not a valid POVM"):
+                solve(alg, phi, a)
 
 
 def rotated_pair(theta):
