@@ -471,10 +471,10 @@ def validate_pvm(alg: BlockAlgebra, p: Povm, tol: Tolerances = DEFAULT_TOL) -> P
     )
 
 
-def require_valid(diag, what: str):
-    """Raise ``ValidationError("<what>: <diag>")`` unless the diagnostics are valid."""
+def require_valid(diag, what: str, error: type[PovmRoundError] = ValidationError):
+    """Raise ``error("<what>: <diag>")`` unless the diagnostics are valid."""
     if not diag.is_valid:
-        raise ValidationError(f"{what}: {diag}")
+        raise error(f"{what}: {diag}")
 
 
 def idempotency_residual(elements: Sequence[AlgebraElement]) -> float:

@@ -50,8 +50,7 @@ def _decode_entry(re, im) -> complex:
 
 
 def encode_element(x: AlgebraElement) -> list:
-    per_size = [_encode_matrix(s) for s in x.stacks]
-    return [per_size[g][j] for g, j in x.algebra.slots]
+    return x.algebra.per_block([_encode_matrix(s) for s in x.stacks])
 
 
 @contextmanager

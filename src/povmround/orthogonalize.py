@@ -99,7 +99,7 @@ class SelectionResult:
 
     projections: list[AlgebraElement]  # q_i, with blocks bases[k][i] bases[k][i]^H
     bases: list[list[np.ndarray]]  # bases[k][i]: d_k x r_ki orthonormal columns spanning q_i
-    vectors: AlgebraElement      # block k: the columns of bases[k][0], bases[k][1], ... side by side
+    vectors: AlgebraElement      # block k: bases[k][0], bases[k][1], ... side by side; bases views it
     eigenpairs: list[list[tuple[np.ndarray, np.ndarray]]]  # eigenpairs[i]: hermitian_eigh(a_i)
     value: float                 # phi(sum_i q_i a_i), evaluated exactly
     lp_value: float              # optimum of the selection linear program
@@ -506,7 +506,8 @@ def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
             g = g / gn
         w, v = np.linalg.eigh(g)
         order = np.argsort(-w)
-        w, v = w[order], v[:, order]
+        w = w[order]
+        v = v[:, order]
 
         spaces = [basis for _, basis in split_at_gaps(w, v, _PIECE_SPLIT_GAP)]
 
@@ -565,7 +566,11 @@ def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
         commutant=commutant_elements,
         residual=0.0,
     )
-    result.residual = max((result.embed(result.compress(h)) - h).norm_fro() for h in herm)
+    residual = 0.0
+    for h in herm:
+        diff = result.embed(result.compress(h)) - h
+        residual = max(residual, diff.norm_fro())
+    result.residual = residual
     return result
 
 
