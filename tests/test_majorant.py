@@ -22,7 +22,12 @@ from povmround.generators import gen_instance, random_functionals
 from povmround.io import save_instance
 from povmround.majorant import NEWTON_TOL, _assemble_hessian
 
-from conftest import commuting_majorant_oracle, per_block_newton_oracle, rng_for
+from conftest import (
+    commuting_majorant_oracle,
+    per_block_barrier_oracle,
+    per_block_newton_oracle,
+    rng_for,
+)
 
 # Two rank-one projections at 45 degrees.  The dual problem maximizes
 # 1 + tr((P1 - P2) t1) over 0 <= t1 <= 1, attained at the positive spectral
@@ -413,6 +418,33 @@ def test_batched_centering_matches_per_block_oracle(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(batched.majorant.blocks, oracle.majorant.blocks))
     for t, u in zip(batched.dual_povm, oracle.dual_povm):
         assert all(np.array_equal(a, b) for a, b in zip(t.blocks, u.blocks))
+
+
+def test_barrier_factors_each_block_when_only_the_stacked_cholesky_fails(monkeypatch):
+    # eigvalsh finds every block interior, yet the stacked Cholesky failed: each
+    # block is then factored on its own, and the stacked branch is not entered again.
+    count, n, d, mu = 5, 3, 4, 0.3
+    rng = rng_for(61)
+    g = rng.standard_normal((count, n, d, d)) + 1j * rng.standard_normal((count, n, d, d))
+    fam = (g + g.conj().swapaxes(-1, -2)) / 2
+    z = (np.linalg.eigvalsh(fam).max() + 1.0) * np.broadcast_to(np.eye(d), (count, d, d))
+    cholesky, barrier, shapes = np.linalg.cholesky, majorant_module._barrier, []
+
+    def stacked_fails(x, *args, **kwargs):
+        if np.ndim(x) == 4:
+            raise np.linalg.LinAlgError("stacked factorisation refused")
+        return cholesky(x, *args, **kwargs)
+
+    def recording(z, fam, mu):
+        shapes.append(np.shape(z))
+        return barrier(z, fam, mu)
+
+    monkeypatch.setattr(np.linalg, "cholesky", stacked_fails)
+    monkeypatch.setattr(majorant_module, "_barrier", recording)
+    values = barrier(z, fam, mu)
+    monkeypatch.undo()
+    assert shapes == [(d, d)] * count
+    assert values.tolist() == [per_block_barrier_oracle(zk, fk, mu) for zk, fk in zip(z, fam)]
 
 
 class TestReachableGap:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,11 +39,14 @@ from povmround.generators import (
     random_povm_near_pvm,
     random_state,
 )
-from povmround.orthogonalize import _commutant_basis, _safe_ratio
+from povmround.orthogonalize import CLUSTER_TOL, _commutant_basis, _safe_ratio
 
 from conftest import (
     kernel_completion_oracle,
     kron_null_space_oracle,
+    per_block_clusters_oracle,
+    per_block_eigh_oracle,
+    per_block_item_selection_oracle,
     per_cluster_eigh_selection_oracle,
     projection_range,
     random_density,
@@ -83,6 +87,14 @@ def _select_with_warnings(alg, phi, a):
     messages = [str(w.message) for w in record]
     assert all(m.startswith("selection score") for m in messages)
     return sel, messages
+
+
+def _recorded(call, *args):
+    """call(*args) and the messages of every warning it emits."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in record]
 
 
 def _count_decompositions(monkeypatch, alg, phi, a):
@@ -198,6 +210,54 @@ class TestSelectProjections:
                 for v, u in zip(row, oracle_row):
                     assert v.shape == u.shape
                     assert np.linalg.norm(v @ v.conj().T - u @ u.conj().T) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.2])
+    def test_matches_per_block_item_oracle_on_mixed_sizes(self, delta):
+        # Interleaved block sizes.  The M_5 block has zero weight, so its
+        # scores all tie at 0; output 0 is shifted down by 5e-4 and output 1
+        # up, so some scores are clipped.
+        alg = BlockAlgebra((2, 3, 2, 1, 3, 5, 2))
+        checked = clipped = 0
+        for seed in range(6):
+            rng = rng_for(700 + seed)
+            a = random_povm_near_pvm(alg, int(rng.integers(2, 5)), delta, rng)
+            shift = 5e-4 * alg.identity()
+            a = Povm(alg, [a.elements[0] - shift, a.elements[1] + shift, *a.elements[2:]])
+            rho = [r * (k != 5) for k, r in enumerate(random_density(alg, rng).densities)]
+            phi = State(alg, [r / sum(np.trace(x).real for x in rho) for r in rho])
+            sel, messages = _recorded(select_projections, alg, phi, a, Tolerances(psd_tol=1e-3))
+            (ranks, vectors, lp_value), oracle_messages = _recorded(
+                per_block_item_selection_oracle, alg, phi, a
+            )
+            assert sel.ranks == ranks and sel.lp_value == lp_value
+            assert messages == oracle_messages
+            clipped += len(messages)
+            clusters = [per_block_clusters_oracle(per_block_eigh_oracle(e), CLUSTER_TOL)
+                        for e in a.elements]
+            for k, (u, v) in enumerate(zip(sel.vectors.blocks, vectors)):
+                if all(b.shape[1] == 1 for c in clusters for _, b in c[k]):
+                    assert np.array_equal(u, v)
+                    checked += 1
+                else:
+                    assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T) <= 1e-12
+        # Every M_1 block is simple; at delta = 0.2 every block is.
+        blocks = 6 * alg.num_blocks
+        assert (checked == blocks) if delta == 0.2 else (6 <= checked < blocks)
+        assert clipped > 0 or delta == 0.2
+
+    def test_tied_scores_break_like_the_per_block_item_oracle(self):
+        # Diagonal entries in quarters under the normalized trace: many items
+        # of a block tie, within and across outputs and clusters, in rows of
+        # 20 items, past numpy's insertion-sort cutoff.
+        alg = BlockAlgebra((5, 2, 5))
+        entries = rng_for(9).multinomial(4, [0.25] * 4, size=alg.total_dim).T / 4
+        cuts = np.cumsum(alg.dims)[:-1]
+        a = Povm(alg, [alg.diagonal(np.split(row, cuts)) for row in entries])
+        phi = State.normalized_trace(alg)
+        sel = select_projections(alg, phi, a)
+        ranks, vectors, lp_value = per_block_item_selection_oracle(alg, phi, a)
+        assert sel.ranks == ranks and sel.lp_value == lp_value
+        assert all(np.array_equal(u, v) for u, v in zip(sel.vectors.blocks, vectors))
 
     def test_clipped_score_warns_on_a_simple_eigenvalue(self, m2, trace_state_m2):
         a = Povm(m2, [m2.diagonal([[-5e-4, 1.0]]), m2.diagonal([[1.0 + 5e-4, 0.0]])])
@@ -819,3 +879,18 @@ def test_decomposition_calls_do_not_grow_with_block_count(monkeypatch):
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1] == {"eigh": 5, "eigvalsh": 5, "svd": 1}
+
+
+def test_cluster_refinement_calls_do_not_grow_with_block_count(monkeypatch):
+    # Exact PVMs have eigenvalue clusters of multiplicity 2 in most blocks of
+    # M_2; their score matrices share one eigh per (block size, output,
+    # multiplicity), so 32 and 128 blocks make the same number of eigh calls.
+    counts = []
+    for blocks in (32, 128):
+        rng = rng_for(blocks)
+        alg = BlockAlgebra((2,) * blocks)
+        a = random_povm_near_pvm(alg, 4, 0.0, rng)
+        counts.append(_count_decompositions(monkeypatch, alg, random_state(alg, rng), a)["eigh"])
+        monkeypatch.undo()
+    # 5 eigh calls when every cluster is simple (see _count_random); one more per output here.
+    assert counts == [9, 9]
