@@ -10,8 +10,9 @@ Tr(z) - mu * sum_i log det(z - a_i) by damped Newton steps, all blocks of
 one size at once, with the dual iterate t_i = mu * (z - a_i)^{-1}.  At a
 Newton stationary point sum_i t_i = 1 and z - sum_i t_i a_i = n * mu * 1
 hold identically, so n * mu * dim certifies the duality gap, and mu is
-shrunk by MU_SHRINK per stage until that certificate meets gap_tol.  Each
-stage centres every block to gradient norm NEWTON_TOL.
+shrunk by MU_SHRINK per stage until that certificate meets gap_tol.  Only
+the final stage's (z, t) is read, so only it centres every block to gradient
+norm NEWTON_TOL; each earlier stage stops at the loose PATH_TOL.
 
 The Newton system of a block of size d is mu * sum_i W_i S W_i = -G with
 W_i = (z - a_i)^{-1} and G the barrier gradient.  Up to DENSE_STEP_MAX_DIM
@@ -53,10 +54,11 @@ POVM_SUM_TOL = 1e-8          # ||sum_i t_i - 1||_F
 SLACKNESS_TOL = 1e-4         # max_i ||t_i (z - a_i)||_F and ||z - sum_i t_i a_i||_F
 
 # Largest block size that takes the exact dense Newton step: the crossover
-# of the two steps.  Per job at n = 3 (one BLAS thread, 2-vCPU VM), dense
-# against CG: 10.9 / 29.4 ms at d = 4, 30.4 / 50.5 ms at d = 10,
-# 44.5 / 38.7 ms at d = 11 and 100.9 / 56.0 ms at d = 14.
-DENSE_STEP_MAX_DIM = 10
+# of the two steps.  Per job at n = 3 (one BLAS thread, 2-vCPU VM, median of
+# 32 alternated runs over 8 seeds), dense against CG: 7.5 / 9.6 ms at d = 4,
+# 27.2 / 26.0 ms at d = 9, 28.5 / 22.2 ms at d = 10, 46.2 / 27.3 ms at
+# d = 11 and 104.3 / 41.6 ms at d = 14.
+DENSE_STEP_MAX_DIM = 9
 
 
 @dataclass
@@ -271,8 +273,11 @@ def _cg_step(inverses, grad, mu):
     return step
 
 
-# Centering ends at gradient norm NEWTON_TOL, or fails after MAX_NEWTON_STEPS steps.
+# Centering ends at gradient norm NEWTON_TOL at the final stage and PATH_TOL at
+# every earlier one, whose iterate only starts the next (Boyd and Vandenberghe,
+# Convex Optimization 11.3-11.5), or fails after MAX_NEWTON_STEPS steps.
 NEWTON_TOL = 1e-7
+PATH_TOL = 1e-2
 MAX_NEWTON_STEPS = 200
 
 
@@ -280,7 +285,7 @@ def _stalled(what: str, k: int, mu: float, gnorm: float) -> SolverError:
     return SolverError(f"{what} in block {k} at mu={mu:.3e}, gradient norm {gnorm:.3e}")
 
 
-def _center_block(z, fam, mu, k):
+def _center_block(z, fam, mu, k, stop):
     """_newton_center for block k alone, by CG steps: z is its (d, d) view in
     the stack, updated in place, fam its (n, d, d) functionals."""
     eye = np.eye(len(z))
@@ -288,7 +293,7 @@ def _center_block(z, fam, mu, k):
     for steps in range(MAX_NEWTON_STEPS):
         inverses = np.linalg.inv(hermitian_part(z - fam))
         grad = eye - mu * np.sum(inverses, axis=0)
-        if np.linalg.norm(grad) <= NEWTON_TOL:
+        if np.linalg.norm(grad) <= stop:
             return steps
         step = hermitian_part(_cg_step(inverses, grad, mu))
         t = 1.0
@@ -304,15 +309,16 @@ def _center_block(z, fam, mu, k):
     raise _stalled("Newton did not reach tolerance", k, mu, np.linalg.norm(grad))
 
 
-def _newton_center(z, fam, mu, blocks):
-    """Damped Newton minimization of the barrier at fixed mu for the blocks
-    ``blocks`` of one size: z their (count, d, d) stack, updated in place, fam
-    their (count, n, d, d) functionals.  Up to DENSE_STEP_MAX_DIM they step
-    together, each with its own step length and stop; larger ones take CG
-    steps one at a time (_center_block).  Returns the per-block step count."""
+def _newton_center(z, fam, mu, blocks, stop):
+    """Damped Newton minimization of the barrier at fixed mu, to gradient norm
+    stop, for the blocks ``blocks`` of one size: z their (count, d, d) stack,
+    updated in place, fam their (count, n, d, d) functionals.  Up to
+    DENSE_STEP_MAX_DIM they step together, each with its own step length and
+    stop; larger ones take CG steps one at a time (_center_block).  Returns
+    the per-block step count."""
     d = z.shape[-1]
     if d > DENSE_STEP_MAX_DIM:  # kept: folded into the loop below, a d = 16 majorant ran 6% slower
-        return sum(_center_block(zk, fk, mu, k) for zk, fk, k in zip(z, fam, blocks))
+        return sum(_center_block(zk, fk, mu, k, stop) for zk, fk, k in zip(z, fam, blocks))
     eye = np.eye(d)
     # Hessian and scratch buffers, reused by every Newton step.
     hess = np.empty((len(z), d * d, d * d), dtype=complex)
@@ -325,8 +331,8 @@ def _newton_center(z, fam, mu, blocks):
         inverses = np.linalg.inv(hermitian_part(zs[:, None] - fs))
         grad = eye - mu * np.sum(inverses, axis=1)
         gnorm = frobenius_norms(grad)
-        if min(gnorm.tolist()) <= NEWTON_TOL:
-            going = gnorm > NEWTON_TOL
+        if min(gnorm.tolist()) <= stop:
+            going = gnorm > stop
             z[slots] = zs
             slots, zs, fs, current, inverses, grad, gnorm = (
                 x[going] for x in (slots, zs, fs, current, inverses, grad, gnorm)
@@ -380,8 +386,9 @@ def minimal_majorant(
     mu = max(top + 1.0, mu_target)
     total_iters = 0
     for _ in range(MAX_STAGES):
+        stop = NEWTON_TOL if mu <= mu_target else PATH_TOL
         for zg, fg, ks in zip(z, fam, alg.members):
-            total_iters += _newton_center(zg, fg, mu, ks)
+            total_iters += _newton_center(zg, fg, mu, ks, stop)
         if mu <= mu_target:
             break
         mu = max(mu * MU_SHRINK, mu_target)

@@ -19,7 +19,6 @@ from povmround.algebra import hermitian_part
 from povmround.majorant import (
     DENSE_STEP_MAX_DIM,
     MAX_NEWTON_STEPS,
-    NEWTON_TOL,
     _assemble_hessian,
     _cg_step,
     majorant_certificate,
@@ -138,10 +137,10 @@ def per_block_barrier_oracle(z, fam, mu):
     return float(np.trace(z).real) - mu * float(sum(logdets))
 
 
-def per_block_newton_oracle(z_blocks, fam_blocks, mu):
-    """Damped Newton minimization of the barrier at fixed mu, one block at a
-    time; each fam_blocks[k] is the (n, d, d) stack of the functionals' k-th
-    blocks.  Returns (z_blocks, per-block steps)."""
+def per_block_newton_oracle(z_blocks, fam_blocks, mu, stop):
+    """Damped Newton minimization of the barrier at fixed mu, to gradient
+    norm stop, one block at a time; each fam_blocks[k] is the (n, d, d) stack
+    of the functionals' k-th blocks.  Returns (z_blocks, per-block steps)."""
     iters = 0
     for k, z in enumerate(z_blocks):
         fam = fam_blocks[k]
@@ -155,7 +154,7 @@ def per_block_newton_oracle(z_blocks, fam_blocks, mu):
         for _ in range(MAX_NEWTON_STEPS):
             inverses = np.linalg.inv(hermitian_part(z - fam))
             grad = eye - mu * np.sum(inverses, axis=0)
-            if np.linalg.norm(grad) <= NEWTON_TOL:
+            if np.linalg.norm(grad) <= stop:
                 break
             if dense:
                 _assemble_hessian(inverses, mu, hess, term)

@@ -29,6 +29,7 @@ from povmround.algebra import (
     hermitian_eigh,
     hermitian_sqrt,
     idempotency_residual,
+    spectral_clusters,
 )
 from povmround.generators import (
     counterexample_triple,
@@ -194,14 +195,22 @@ class TestSelectProjections:
             assert sel.commutation_residual <= 1e-6
             assert idempotency_residual(sel.projections) <= 1e-9
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.2])
+    @pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-7, 0.2])
     def test_matches_per_cluster_eigh_oracle(self, delta):
-        # delta = 0 gives exact PVMs, whose clusters have multiplicity up to d;
-        # 1e-9 splits them into near-degenerate 1 x 1 clusters.
+        # delta = 0 gives exact PVMs, whose clusters have multiplicity up to d.
+        # 1e-9 moves the eigenvalues by less than CLUSTER_TOL, so the same
+        # clusters stay merged; 1e-7 splits every one into near-degenerate
+        # 1 x 1 clusters.  Of the 74 (output, block) label rows, this many
+        # have only simple clusters:
+        simple_rows = {0.0: 20, 1e-9: 20, 1e-7: 74, 0.2: 74}[delta]
+        rows = []
         for seed in range(12):
             rng = rng_for(300 + seed)
             alg = BlockAlgebra(tuple(int(d) for d in rng.integers(1, 6, size=2)))
             a = random_povm_near_pvm(alg, int(rng.integers(2, 5)), delta, rng)
+            for e in a.elements:
+                for _, v, labels in spectral_clusters(alg, hermitian_eigh(e), CLUSTER_TOL):
+                    rows += (labels[:, -1] == v.shape[-1] - 1).tolist()
             phi = random_density(alg, rng)
             sel = select_projections(alg, phi, a)
             bases, lp_value = per_cluster_eigh_selection_oracle(alg, phi, a)
@@ -210,6 +219,7 @@ class TestSelectProjections:
                 for v, u in zip(row, oracle_row):
                     assert v.shape == u.shape
                     assert np.linalg.norm(v @ v.conj().T - u @ u.conj().T) <= 1e-12
+        assert (len(rows), sum(rows)) == (74, simple_rows)
 
     @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.2])
     def test_matches_per_block_item_oracle_on_mixed_sizes(self, delta):
