@@ -14,7 +14,12 @@ report])`` on:
 and then ``verify`` on every majorant report.  For each report it prints one
 line: command, instance, exit code, ``pass``, and the sha256 of the
 canonical JSON of ``result`` and of ``checks``; wall-clock fields such as
-``duration_s`` sit outside both.
+``duration_s`` sit outside both.  Two fields of ``result`` depend on how
+instance files are encoded, not on what was solved, so they are hashed in a
+form that every instance version shares: a majorant report's embedded
+``instance`` by its decoded matrices as [re, im] text, and ``verify``'s
+``verified_input`` (the sha256 of an instance file) by the name of the
+instance whose file has that digest.
 
 ``--repo`` imports ``povmround`` (from ``src/``) and the workloads (from
 ``perfbench/``) of another checkout, so the outputs of two trees compare
@@ -53,6 +58,17 @@ def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
+def _text_instance(embedded: dict, instance_type, encode_element) -> dict:
+    """An embedded instance as its dims, metadata and decoded matrices in text."""
+    inst = instance_type.from_json(embedded)
+    families = [inst.povm, *(inst.pvm_pair or ()), inst.functionals]
+    elements = ([inst.state.rho] if inst.state is not None else []) + [
+        e for family in families if family is not None for e in family.elements
+    ]
+    return {"dims": list(inst.algebra.dims), "metadata": inst.metadata,
+            "elements": [encode_element(e) for e in elements]}
+
+
 def _commands_for(inst) -> list[str]:
     if inst.functionals is not None:
         return ["majorant"]
@@ -70,18 +86,31 @@ def main() -> int:
     sys.path[:0] = [str(repo / "src"), str(repo / "perfbench")]
 
     from povmround.cli import main as cli_main
-    from povmround.io import load_instance, save_instance
+    from povmround.io import Instance, encode_element, load_instance, save_instance
     from workloads import WORKLOADS, generate
 
     lines = []
+    file_names = {}  # sha256 of an instance file -> instance name
+
+    def comparable(result):
+        if not isinstance(result, dict):
+            return result
+        result = dict(result)
+        if isinstance(result.get("instance"), dict):
+            result["instance"] = _text_instance(result["instance"], Instance, encode_element)
+        if "verified_input" in result:
+            result["verified_input"] = file_names.get(result["verified_input"], "unknown")
+        return result
 
     def run(command: str, name: str, path: Path, out: Path, extra=()) -> dict:
+        if command != "verify":
+            file_names[hashlib.sha256(path.read_bytes()).hexdigest()] = name
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main([command, "--in", str(path), "--out", str(out), *extra])
         doc = json.loads(out.read_text()) if out.exists() else {}
         lines.append(" ".join([
             command, name, str(code), str(doc.get("pass")),
-            _sha(doc.get("result")), _sha(doc.get("checks")),
+            _sha(comparable(doc.get("result"))), _sha(doc.get("checks")),
         ]))
         return doc
 

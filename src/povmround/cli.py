@@ -31,10 +31,9 @@ from .io import (
     decode_elements,
     dumps,
     encode_element,
-    file_digest,
     load_instance,
-    load_report,
     make_report,
+    read_report,
     save_instance,
     save_report,
 )
@@ -133,10 +132,9 @@ def _cmd_majorant(inst: Instance, tol: Tolerances):
     return result, sol.checks(inst.functionals, tol)
 
 
-def _cmd_verify(path: str, tol: Tolerances):
+def _cmd_verify(doc: dict, tol: Tolerances):
     """Recompute a majorant report's checks from its embedded instance, z and t,
     and check the objective values and residuals the report states."""
-    doc = load_report(path)
     if doc.get("command") != "majorant":
         raise ValidationError("verify expects a majorant report file")
     stored = doc.get("result")
@@ -319,9 +317,10 @@ def run_command(args) -> tuple[dict, int]:
         return doc, 0 if all(c.passed for c in checks) else 1
 
     if args.command == "verify":
-        result, checks = _cmd_verify(args.input, tol)
+        report, digest = read_report(args.input)
+        result, checks = _cmd_verify(report, tol)
         doc = make_report(
-            "verify", file_digest(args.input), tol, result, checks,
+            "verify", digest, tol, result, checks,
             time.perf_counter() - start,
         )
         return doc, 0 if all(c.passed for c in checks) else 1
@@ -330,7 +329,7 @@ def run_command(args) -> tuple[dict, int]:
     inst = load_instance(args.input)
     result, checks = handler(inst, tol)
     doc = make_report(
-        args.command, file_digest(args.input), tol, result, checks,
+        args.command, inst.digest, tol, result, checks,
         time.perf_counter() - start, metadata=inst.metadata,
     )
     return doc, 0 if all(c.passed for c in checks) else 1

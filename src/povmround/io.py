@@ -1,21 +1,24 @@
-"""Instance and report files: versioned JSON with exact float round-trips.
+"""Instance and report files: versioned JSON with exact matrix round-trips.
 
-Complex matrices are stored as nested row-major arrays of [re, im] pairs.
-A file is one compact JSON line, which CPython's C encoder writes.  Floats
-are emitted in Python's shortest round-trip decimal form, so
-load(save(x)) reproduces every matrix entry bit for bit.  This module only
-decodes.  An unreadable path or a malformed document (not an object, a missing
-key, a matrix not of [re, im] rows, a non-finite entry) is a ``ValidationError``,
+A file is one compact JSON line.  An instance (version 2) stores each element
+as one base64 string of its blocks' little-endian complex128 bytes, row-major,
+in block order: ``np.frombuffer(base64.b64decode(s), "<c16")`` split by
+``dims``.  Reports and version-1 instances store row-major [re, im] pairs in
+shortest round-trip decimal.  This module only decodes.  An unreadable path or
+a malformed document (not an object, a missing key, a matrix not of [re, im]
+rows or not base64 of its length, a non-finite entry) is a ``ValidationError``,
 raised here; the solver that reads a decoded object checks its invariants.
 """
 
 from __future__ import annotations
 
+import base64
 import cmath
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from .majorant import FunctionalFamily
 
 INSTANCE_FORMAT = "povmround/instance"
 REPORT_FORMAT = "povmround/report"
-FORMAT_VERSION = 1
+INSTANCE_VERSION, REPORT_VERSION = 2, 1
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -79,6 +82,30 @@ def decode_elements(alg: BlockAlgebra, data) -> list[AlgebraElement]:
         return [decode_element(alg, e) for e in data]
 
 
+def _positions(alg: BlockAlgebra) -> list[np.ndarray]:
+    """Per block size, the (count, d, d) positions of its entries in a version-2 element."""
+    starts = np.cumsum([0, *(d * d for d in alg.dims)])
+    return [starts[list(ks), None, None] + np.arange(d * d).reshape(d, d)
+            for d, ks in zip(alg.sizes, alg.members)]
+
+
+def _encode_binary(x: AlgebraElement) -> str:
+    flat = np.empty(sum(d * d for d in x.algebra.dims), "<c16")
+    for where, s in zip(_positions(x.algebra), x.stacks):
+        flat[where] = s
+    return base64.b64encode(flat.tobytes()).decode("ascii")
+
+
+def _decode_binary(alg: BlockAlgebra, data) -> AlgebraElement:
+    length = 4 * -(-16 * sum(d * d for d in alg.dims) // 3)  # checked before any allocation
+    if not isinstance(data, str) or len(data) != length:
+        raise ValidationError(f"element is not a base64 string of {length} characters")
+    flat = np.frombuffer(base64.b64decode(data, validate=True), "<c16")
+    if not np.isfinite(flat).all():
+        raise ValidationError("element has an entry that is not finite")
+    return AlgebraElement.from_stacks(alg, [flat[where] for where in _positions(alg)])
+
+
 @dataclass
 class Instance:
     """One problem instance: algebra plus whichever objects a command needs."""
@@ -89,26 +116,27 @@ class Instance:
     pvm_pair: tuple[Pvm, Pvm] | None = None
     functionals: FunctionalFamily | None = None
     metadata: dict = field(default_factory=dict)
+    digest: str = field(default="", compare=False)  # sha256 of the file it was loaded from
 
     def to_json(self) -> dict:
         doc = {
             "format": INSTANCE_FORMAT,
-            "version": FORMAT_VERSION,
+            "version": INSTANCE_VERSION,
             "dims": list(self.algebra.dims),
             "metadata": self.metadata,
         }
         if self.state is not None:
-            doc["state"] = encode_element(self.state.rho)
+            doc["state"] = _encode_binary(self.state.rho)
         if self.povm is not None:
-            doc["povm"] = [encode_element(e) for e in self.povm.elements]
+            doc["povm"] = [_encode_binary(e) for e in self.povm.elements]
         if self.pvm_pair is not None:
             p, q = self.pvm_pair
             doc["pvm_pair"] = {
-                "p": [encode_element(e) for e in p.elements],
-                "q": [encode_element(e) for e in q.elements],
+                "p": [_encode_binary(e) for e in p.elements],
+                "q": [_encode_binary(e) for e in q.elements],
             }
         if self.functionals is not None:
-            doc["functionals"] = [encode_element(e) for e in self.functionals.elements]
+            doc["functionals"] = [_encode_binary(e) for e in self.functionals.elements]
         return doc
 
     @classmethod
@@ -116,19 +144,20 @@ class Instance:
         with _decoding("instance"):
             if doc.get("format") != INSTANCE_FORMAT:
                 raise ValidationError(f"not an instance file (format={doc.get('format')!r})")
-            if doc.get("version") != FORMAT_VERSION:
+            if doc.get("version") not in (1, 2):
                 raise ValidationError(f"unsupported instance version {doc.get('version')!r}")
             alg = BlockAlgebra(tuple(doc["dims"]))
             inst = cls(algebra=alg, metadata=doc.get("metadata", {}))
+            decode = partial(_decode_binary if doc["version"] == 2 else decode_element, alg)
             if "state" in doc:
-                inst.state = State(alg, decode_element(alg, doc["state"]))
+                inst.state = State(alg, decode(doc["state"]))
             if "povm" in doc:
-                inst.povm = Povm(alg, [decode_element(alg, e) for e in doc["povm"]])
+                inst.povm = Povm(alg, [decode(e) for e in doc["povm"]])
             if "pvm_pair" in doc:
                 pair = doc["pvm_pair"]
-                inst.pvm_pair = tuple(Pvm(alg, decode_elements(alg, pair[k])) for k in "pq")
+                inst.pvm_pair = tuple(Pvm(alg, [decode(e) for e in pair[k]]) for k in "pq")
             if "functionals" in doc:
-                inst.functionals = FunctionalFamily(decode_elements(alg, doc["functionals"]))
+                inst.functionals = FunctionalFamily([decode(e) for e in doc["functionals"]])
             return inst
 
 
@@ -143,19 +172,16 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(dumps(inst.to_json()))
 
 
-def _read_json(path):
+def _read_json(path) -> tuple[object, str]:  # the document and the sha256 of its bytes
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(data := Path(path).read_bytes()), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError) as exc:  # unreadable path, bad UTF-8 or bad JSON
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def load_instance(path) -> Instance:
-    return Instance.from_json(_read_json(path))
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    doc, digest = _read_json(path)
+    return replace(Instance.from_json(doc), digest=digest)
 
 
 def make_report(
@@ -169,7 +195,7 @@ def make_report(
 ) -> dict:
     return {
         "format": REPORT_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": REPORT_VERSION,
         "command": command,
         "input_digest": input_digest,
         "tolerances": tol.as_dict(),
@@ -185,9 +211,13 @@ def save_report(doc: dict, path) -> None:
     Path(path).write_text(dumps(doc))
 
 
-def load_report(path) -> dict:
-    doc = _read_json(path)
+def read_report(path) -> tuple[dict, str]:
+    doc, digest = _read_json(path)
     with _decoding("report"):
         if doc.get("format") != REPORT_FORMAT:
             raise ValidationError(f"not a report file (format={doc.get('format')!r})")
-    return doc
+    return doc, digest
+
+
+def load_report(path) -> dict:
+    return read_report(path)[0]

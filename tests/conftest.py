@@ -16,6 +16,7 @@ from povmround import (
     State,
 )
 from povmround.algebra import hermitian_part
+from povmround.io import encode_element
 from povmround.majorant import (
     DENSE_STEP_MAX_DIM,
     MAX_NEWTON_STEPS,
@@ -532,6 +533,22 @@ def per_entry_encode_oracle(m: np.ndarray) -> list:
     per entry.  The per-entry encoder that io.py's one ``tolist`` replaced;
     used as a test oracle."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def v1_document(inst) -> dict:
+    """``inst`` as a version-1 instance document, every matrix as row-major
+    [re, im] pairs: what ``Instance.to_json`` wrote before version 2."""
+    doc = {**inst.to_json(), "version": 1}
+    if inst.state is not None:
+        doc["state"] = encode_element(inst.state.rho)
+    if inst.povm is not None:
+        doc["povm"] = [encode_element(e) for e in inst.povm.elements]
+    if inst.pvm_pair is not None:
+        doc["pvm_pair"] = {k: [encode_element(e) for e in pvm.elements]
+                           for k, pvm in zip("pq", inst.pvm_pair)}
+    if inst.functionals is not None:
+        doc["functionals"] = [encode_element(e) for e in inst.functionals.elements]
+    return doc
 
 
 @pytest.fixture

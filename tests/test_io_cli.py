@@ -1,5 +1,6 @@
 """Serialization exactness, generator determinism, and the CLI surface."""
 
+import base64
 import dataclasses
 import json
 
@@ -9,6 +10,7 @@ import pytest
 from povmround import (
     AlgebraElement,
     BlockAlgebra,
+    FunctionalFamily,
     Povm,
     Tolerances,
     ValidationError,
@@ -19,6 +21,7 @@ from povmround import (
 from povmround.cli import build_tolerances, main
 from povmround.generators import gen_instance
 from povmround.io import (
+    Instance,
     _encode_matrix,
     decode_element,
     dumps,
@@ -28,7 +31,7 @@ from povmround.io import (
     save_instance,
 )
 
-from conftest import mixed_pvm, per_entry_encode_oracle, trace_two_state
+from conftest import mixed_pvm, per_entry_encode_oracle, trace_two_state, v1_document
 
 
 class TestSerialization:
@@ -45,18 +48,47 @@ class TestSerialization:
         assert loaded.metadata == inst.metadata
 
     def test_storage_is_re_im_pairs_row_major(self, tmp_path):
+        # Version 1, which reports still use for their matrices.
         inst = gen_instance("linfty2_family", 0, {"c": 0.1})
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        path.write_text(dumps(v1_document(inst)))
         doc = json.loads(path.read_text())
         assert doc["povm"][0][0] == [[[1.0, 0.0]]]
         assert doc["dims"] == [1, 1]
 
+    def test_storage_is_base64_complex128_in_block_order(self, tmp_path):
+        inst = gen_instance("random_povm_near_pvm", 4, {"dims": [2, 3, 2, 1, 3], "n": 3})
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2 and doc["dims"] == [2, 3, 2, 1, 3]
+        elements = [("state", doc["state"], inst.state.rho)]
+        elements += [("povm", s, e) for s, e in zip(doc["povm"], inst.povm.elements)]
+        for key, text, element in elements:
+            flat = np.frombuffer(base64.b64decode(text), "<c16")
+            ends = np.cumsum([d * d for d in doc["dims"]])
+            blocks = [b.reshape(d, d) for b, d in zip(np.split(flat, ends[:-1]), doc["dims"])]
+            assert len(flat) == ends[-1], key
+            for got, want in zip(blocks, element.blocks):
+                assert got.tobytes() == want.tobytes(), key
+
     def test_loaded_objects_are_not_validated(self, tmp_path):
         # Loading only decodes; the solver that reads the POVM rejects it.
         inst = gen_instance("linfty2_family", 0, {"c": 0.1})
-        doc = inst.to_json()
+        doc = v1_document(inst)
         doc["povm"][0][0][0][0] = [5.0, 0.0]  # breaks the sum-to-identity invariant
+        path = tmp_path / "bad.json"
+        path.write_text(dumps(doc))
+        loaded = load_instance(path)
+        assert loaded.povm.elements[0].blocks[0][0, 0] == 5.0
+        assert not validate_povm(loaded.algebra, loaded.povm).is_valid
+
+    def test_loaded_v2_objects_are_not_validated(self, tmp_path):
+        inst = gen_instance("linfty2_family", 0, {"c": 0.1})
+        doc = inst.to_json()
+        flat = np.frombuffer(base64.b64decode(doc["povm"][0]), "<c16").copy()
+        flat[0] = 5.0  # breaks the sum-to-identity invariant
+        doc["povm"][0] = base64.b64encode(flat.tobytes()).decode("ascii")
         path = tmp_path / "bad.json"
         path.write_text(dumps(doc))
         loaded = load_instance(path)
@@ -170,6 +202,93 @@ class TestIndentedFilesStillLoad:
                 "verify", (report, _indented_copy(report, tmp_path / "indented.majorant.json"))
             )
             assert first == second
+
+
+def _elements(inst) -> list[AlgebraElement]:
+    pvms = list(inst.pvm_pair or ())
+    return ([inst.state.rho] if inst.state is not None else []) + [
+        e for family in (inst.povm, *pvms, inst.functionals) if family is not None
+        for e in family.elements
+    ]
+
+
+def _extremes_instance() -> Instance:
+    alg = BlockAlgebra((2, 1, 2))
+    m = _complex(_EXTREMES, _EXTREMES.T)
+    elements = [AlgebraElement(alg, [m, [[-0.0]], m.T]), AlgebraElement(alg, [m.T, [[5e-324]], m])]
+    # a functional family keeps its matrices as given; a Povm would hermitize them
+    return Instance(algebra=alg, functionals=FunctionalFamily(elements))
+
+
+_MIXED = [2, 3, 2, 1, 3]
+
+
+class TestVersionsAgree:
+    """A version-1 and a version-2 file of one instance are the same input."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_instance("random_povm_near_pvm", 6, {"dims": _MIXED, "n": 3}),
+        lambda: gen_instance("rotated_pvm_pair", 6, {"theta": 0.2, "dims": _MIXED, "n_p": 3, "n_q": 2}),
+        lambda: gen_instance("random_functionals", 6, {"dims": _MIXED, "n": 3}),
+        _extremes_instance,
+    ], ids=["povm-mixed", "pair-mixed", "functionals-mixed", "extremes"])
+    def test_load_to_bitwise_equal_stacks(self, tmp_path, make):
+        inst = make()
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        v1.write_text(dumps(v1_document(inst)))
+        save_instance(inst, v2)
+        assert json.loads(v2.read_text())["version"] == 2
+        first, second = _elements(load_instance(v1)), _elements(load_instance(v2))
+        assert len(first) == len(second) == len(_elements(inst))
+        for x, y, z in zip(first, second, _elements(inst)):
+            for a, b, c in zip(x.stacks, y.stacks, z.stacks):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("kind,params,commands", [
+        ("random_povm_near_pvm", {"dims": _MIXED, "n": 3}, ["orthogonalize", "orthogonalize-sym"]),
+        ("rotated_pvm_pair", {"theta": 0.1, "dims": _MIXED, "n_p": 3, "n_q": 2}, ["repair", "fourier"]),
+        ("random_functionals", {"dims": [3, 2], "n": 3}, ["majorant"]),
+    ])
+    def test_every_command_writes_the_same_result(self, tmp_path, kind, params, commands):
+        inst = gen_instance(kind, 5, params)
+        paths = tmp_path / "v1.json", tmp_path / "v2.json"
+        paths[0].write_text(dumps(v1_document(inst)))
+        save_instance(inst, paths[1])
+        for command in commands:
+            texts = []
+            for path in paths:
+                report = path.with_suffix(f".{command}.json")
+                assert main([command, "--in", str(path), "--out", str(report)]) == 0
+                doc = load_report(report)
+                # a majorant report embeds its instance in version 2 from either file
+                texts.append(json.dumps([doc["result"], doc["checks"]], sort_keys=True))
+            assert texts[0] == texts[1], command
+        if commands == ["majorant"]:
+            verified = []
+            for path in paths:
+                report = path.with_suffix(".majorant.json")
+                assert main(["verify", "--in", str(report), "--out", str(report) + ".v"]) == 0
+                doc = load_report(str(report) + ".v")
+                assert doc["result"].pop("verified_input") == load_report(report)["input_digest"]
+                verified.append(json.dumps([doc["result"], doc["checks"]], sort_keys=True))
+            assert verified[0] == verified[1]
+
+    def test_verify_reads_a_version_1_embedded_instance(self, tmp_path):
+        # majorant reports written before version 2 embed a version-1 instance
+        inst_path, report = tmp_path / "fun.json", tmp_path / "maj.json"
+        save_instance(gen_instance("random_functionals", 3, {"dims": [3, 2], "n": 3}), inst_path)
+        assert main(["majorant", "--in", str(inst_path), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["result"]["instance"] = v1_document(load_instance(inst_path))
+        older = tmp_path / "older.json"
+        older.write_text(dumps(doc))
+        texts = []
+        for path in (report, older):
+            out = path.with_suffix(".verify.json")
+            assert main(["verify", "--in", str(path), "--out", str(out)]) == 0
+            verified = load_report(out)
+            texts.append(json.dumps([verified["result"], verified["checks"]], sort_keys=True))
+        assert texts[0] == texts[1]
 
 
 class TestGenerators:

@@ -3,6 +3,7 @@ invalid inputs, verify checks a report's stored claims, gen builds no report,
 sweep's draws respect --max-dim, and the block decomposition has its own
 retry budget and names why it ran out."""
 
+import base64
 import importlib
 import json
 import math
@@ -23,7 +24,7 @@ from povmround.generators import gen_instance, random_hermitian, rotated_pvm_pai
 from povmround.cli import _sweep_config, main
 from povmround.io import dumps, load_instance
 
-from conftest import mixed_pvm, trace_two_state
+from conftest import mixed_pvm, trace_two_state, v1_document
 
 orthogonalize_module = importlib.import_module("povmround.orthogonalize")
 
@@ -123,7 +124,7 @@ def test_gen_writes_no_report(tmp_path, monkeypatch):
     def no_digest(path):
         raise AssertionError("gen read back its own output")
 
-    monkeypatch.setattr("povmround.cli.file_digest", no_digest)
+    monkeypatch.setattr("povmround.io._read_json", no_digest)
     out = tmp_path / "g.json"
     assert main(["gen", "--kind", "linfty2_family", "--out", str(out)]) == 0
     assert out.exists()
@@ -159,6 +160,28 @@ class TestVerifyRejects:
         assert _verify_edited(tmp_path, majorant_report, edit) == 2
 
 
+_NON_FINITE_CASES = [
+    ("random_povm_near_pvm", {"dims": [4], "n": 3}, "state", "orthogonalize"),
+    ("random_povm_near_pvm", {"dims": [4], "n": 3}, "povm", "orthogonalize"),
+    ("random_functionals", {"dims": [3], "n": 2}, "functionals", "majorant"),
+]
+_NON_FINITE_IDS = ["state", "povm", "functionals"]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("b64decode reached")
+
+
+def _run_v2_edited(tmp_path, edit) -> int:
+    """Exit code of orthogonalize on a version-2 file whose state string, the
+    first element decoded, is replaced by ``edit(string)``."""
+    doc = gen_instance("random_povm_near_pvm", 0, {"dims": [2, 1], "n": 2}).to_json()
+    doc["state"] = edit(doc["state"])
+    path = tmp_path / "inst.json"
+    path.write_text(dumps(doc))
+    return main(["orthogonalize", "--in", str(path)])
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("content", [
         [],
@@ -173,30 +196,87 @@ class TestMalformedFiles:
         assert "povmround: " in capsys.readouterr().err
 
     def test_boolean_matrix_entry(self, tmp_path, capsys):
-        # A linfty2_family file with its 1.0 entries written as [true, false].
+        # A version-1 linfty2_family file with its 1.0 entries written as [true, false].
         path = tmp_path / "lin.json"
-        assert main(["gen", "--kind", "linfty2_family", "--param", "c=0.1", "--out", str(path)]) == 0
-        text = json.dumps(json.loads(path.read_text()))
+        text = json.dumps(v1_document(gen_instance("linfty2_family", 0, {"c": 0.1})))
         assert "[1.0, 0.0]" in text
         path.write_text(text.replace("[1.0, 0.0]", "[true, false]"))
         assert main(["orthogonalize", "--in", str(path)]) == 2
         assert "boolean" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e309"])
-    @pytest.mark.parametrize("kind,params,key,command", [
-        ("random_povm_near_pvm", {"dims": [4], "n": 3}, "state", "orthogonalize"),
-        ("random_povm_near_pvm", {"dims": [4], "n": 3}, "povm", "orthogonalize"),
-        ("random_functionals", {"dims": [3], "n": 2}, "functionals", "majorant"),
-    ], ids=["state", "povm", "functionals"])
+    @pytest.mark.parametrize("kind,params,key,command", _NON_FINITE_CASES, ids=_NON_FINITE_IDS)
     def test_non_finite_matrix_entry(self, tmp_path, capsys, token, kind, params, key, command):
         # json.loads reads NaN and Infinity tokens, and 1e309 as inf.
-        doc = gen_instance(kind, 0, params).to_json()
+        doc = v1_document(gen_instance(kind, 0, params))
         entry = doc[key][0][0][1] if key == "state" else doc[key][0][0][0][1]
         entry[0] = 0.125
         path = tmp_path / "inst.json"
         path.write_text(dumps(doc).replace("0.125", token, 1))
         assert main([command, "--in", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("kind,params,key,command", _NON_FINITE_CASES, ids=_NON_FINITE_IDS)
+    def test_non_finite_v2_entry(self, tmp_path, capsys, value, kind, params, key, command):
+        doc = gen_instance(kind, 0, params).to_json()
+        text = doc[key] if key == "state" else doc[key][0]
+        flat = np.frombuffer(base64.b64decode(text), "<c16").copy()
+        flat[-1] = value
+        edited = base64.b64encode(flat.tobytes()).decode("ascii")
+        if key == "state":
+            doc[key] = edited
+        else:
+            doc[key][0] = edited
+        path = tmp_path / "inst.json"
+        path.write_text(dumps(doc))
+        assert main([command, "--in", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s + "AAAA",
+        lambda s: s[:-4],
+        lambda s: s * 1000,
+        lambda s: "",
+    ], ids=["one-entry-long", "truncated", "huge", "empty"])
+    def test_v2_element_of_wrong_length(self, tmp_path, capsys, monkeypatch, edit):
+        # the length is checked before anything is decoded
+        monkeypatch.setattr(base64, "b64decode", _never_called)
+        assert _run_v2_edited(tmp_path, edit) == 2
+        assert "base64 string of" in capsys.readouterr().err
+
+    def test_v2_huge_dims_allocate_nothing(self, tmp_path, capsys, monkeypatch):
+        # a few bytes claiming one 10^6 x 10^6 block fail on the string length
+        monkeypatch.setattr(base64, "b64decode", _never_called)
+        path = tmp_path / "inst.json"
+        path.write_text(dumps({"format": "povmround/instance", "version": 2,
+                               "dims": [10**6], "state": "AAAA", "povm": ["AAAA"]}))
+        assert main(["orthogonalize", "--in", str(path)]) == 2
+        assert "base64 string of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("char", ["!", "-", "_", " ", "\n", "é"])
+    def test_v2_element_with_non_alphabet_byte(self, tmp_path, capsys, char):
+        assert _run_v2_edited(tmp_path, lambda s: char + s[1:]) == 2
+        assert "povmround: malformed instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        None,
+        5,
+        ["AAAA"],
+    ], ids=["v1-matrix", "null", "number", "list"])
+    def test_v2_element_not_a_string(self, tmp_path, capsys, value):
+        assert _run_v2_edited(tmp_path, lambda s: value) == 2
+        assert "base64 string of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unsupported_instance_version(self, tmp_path, capsys, version):
+        doc = gen_instance("random_povm_near_pvm", 0, {"dims": [2], "n": 2}).to_json()
+        doc["version"] = version
+        path = tmp_path / "inst.json"
+        path.write_text(dumps(doc))
+        assert main(["orthogonalize", "--in", str(path)]) == 2
+        assert "unsupported instance version" in capsys.readouterr().err
 
     def test_directory_as_input(self, tmp_path):
         assert main(["orthogonalize", "--in", str(tmp_path)]) == 2
